@@ -2,12 +2,13 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-# The gated hot-path benchmarks: per-write planning cost (base and
-# registry-composed schemes), one full system simulation end to end,
-# the serial-vs-parallel engine-mode comparison across bank counts, and
-# the long-trace event-engine sweep (timing wheel vs the seed binary
-# heap across pending populations).
-BENCHFILTER ?= BenchmarkSchemePlanWrite|BenchmarkComposedSchemePlanWrite|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemParallel|BenchmarkEngineLongTrace
+# The gated hot-path benchmarks: per-write planning cost over a captured
+# vips write stream (base and registry-composed schemes) and on a dense
+# all-cells-change write, one full system simulation end to end, the
+# serial-vs-parallel engine-mode comparison across bank counts, and the
+# long-trace event-engine sweep (timing wheel vs the seed binary heap
+# across pending populations). CI reads this list via `make benchfilter`.
+BENCHFILTER ?= BenchmarkSchemePlanStream|BenchmarkComposedSchemePlanStream|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemParallel|BenchmarkEngineLongTrace
 BENCHCOUNT ?= 3
 
 # Build stamping for `<binary> -version`: ldflags override the
@@ -18,7 +19,7 @@ COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 DATE ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ)
 LDFLAGS = -X tetriswrite/internal/version.Commit=$(COMMIT) -X tetriswrite/internal/version.Date=$(DATE)
 
-.PHONY: build test race fuzz-smoke bench bench-baseline bench-gate fleet-smoke crash-smoke
+.PHONY: build test race fuzz-smoke bench bench-baseline bench-gate benchfilter fleet-smoke crash-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -53,6 +54,10 @@ fuzz-smoke:
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCHFILTER)' -benchmem -count=$(BENCHCOUNT) . | tee bench_new.txt
 	$(GO) run ./cmd/tetrisbench -bench-json -writes 200
+
+# Print the gated benchmark regexp, so CI benchmarks exactly this set.
+benchfilter:
+	@echo '$(BENCHFILTER)'
 
 # Refresh the committed baseline. Run on a quiet machine after an
 # intentional performance change; the diff is part of the review.

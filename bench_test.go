@@ -157,58 +157,102 @@ func BenchmarkFig13IPC(b *testing.B) { fullSystemBench(b, "fig13") }
 // normalized to the baseline).
 func BenchmarkFig14RunningTime(b *testing.B) { fullSystemBench(b, "fig14") }
 
-// BenchmarkSchemePlanWrite measures per-scheme planning cost on a sparse
-// write: the per-write work a memory controller would add. Plans are
-// recycled back to the scheme after use, exactly as the memory
-// controller does, so this measures the steady-state (freelist-warm)
-// path — 0 allocs/op is the gated expectation, and any allocation here
-// is a hot-path regression.
-func BenchmarkSchemePlanWrite(b *testing.B) {
+// planStreamWrites is the length of the captured write stream the
+// plan-stream benchmarks replay.
+const planStreamWrites = 4096
+
+// planWrite is one captured line write: what the memory controller hands
+// a scheme's PlanWrite.
+type planWrite struct {
+	addr     LineAddr
+	old, new []byte
+}
+
+// vipsWriteStream captures the first n line writes of the seeded vips
+// workload (the highest-WPKI profile), its four cores' operation streams
+// interleaved op by op. Each write carries the line's previous contents:
+// the workload's initial image on first touch, the last write after.
+func vipsWriteStream(n int) []planWrite {
+	prof, _ := workload.ProfileByName("vips")
+	const cores = 4
+	prog := workload.NewProgram(prof, cores, 1, DefaultParams())
+	gens := make([]*workload.Generator, cores)
+	for c := range gens {
+		gens[c] = prog.Generator(c)
+	}
+	last := make(map[LineAddr][]byte)
+	out := make([]planWrite, 0, n)
+	for i := 0; len(out) < n; i++ {
+		op := gens[i%cores].Next()
+		if !op.Write {
+			continue
+		}
+		old, ok := last[op.Addr]
+		if !ok {
+			old = prog.InitialContents(op.Addr)
+		}
+		new := append([]byte(nil), op.Data...)
+		last[op.Addr] = new
+		out = append(out, planWrite{addr: op.Addr, old: old, new: new})
+	}
+	return out
+}
+
+// BenchmarkSchemePlanStream measures per-scheme planning cost on the
+// writes of a real workload: the vips write stream captured above,
+// replayed in order. Plans are recycled back to the scheme after use,
+// exactly as the memory controller does. Each pass over the stream
+// starts from a fresh scheme (built with the timer stopped), so Tetris's
+// schedule memo-cache hits only on packing problems that repeat within
+// the stream, as in a real run, never on replays of an earlier pass.
+func BenchmarkSchemePlanStream(b *testing.B) {
+	stream := vipsWriteStream(planStreamWrites)
 	for _, name := range SchemeNames() {
-		b.Run(name, func(b *testing.B) { benchPlanWrite(b, name) })
+		b.Run(name, func(b *testing.B) { benchPlanStream(b, name, stream) })
 	}
 }
 
-// BenchmarkComposedSchemePlanWrite measures the decorator overhead of
-// registry-composed schemes on the same steady-state path: the flipmin
+// BenchmarkComposedSchemePlanStream measures the decorator overhead of
+// registry-composed schemes on the same captured stream: the flipmin
 // re-encoding pass, the remap density/wear ledger and the mlc P&V bill
-// all sit on the per-write hot path and are expected to stay at
-// 0 allocs/op like the bases they wrap.
-func BenchmarkComposedSchemePlanWrite(b *testing.B) {
+// all sit on the per-write hot path.
+func BenchmarkComposedSchemePlanStream(b *testing.B) {
+	stream := vipsWriteStream(planStreamWrites)
 	for _, name := range []string{
 		"dcw+flipmin", "dcw+remap", "tetris+remap", "dcw+mlc", "dcw+flipmin+remap",
 	} {
-		b.Run(name, func(b *testing.B) { benchPlanWrite(b, name) })
+		b.Run(name, func(b *testing.B) { benchPlanStream(b, name, stream) })
 	}
 }
 
-func benchPlanWrite(b *testing.B, name string) {
-	s, err := NewScheme(name, DefaultParams())
-	if err != nil {
-		b.Fatal(err)
+func benchPlanStream(b *testing.B, name string, stream []planWrite) {
+	var (
+		s   Scheme
+		rec schemes.PlanRecycler
+	)
+	fresh := func() {
+		var err error
+		if s, err = NewScheme(name, DefaultParams()); err != nil {
+			b.Fatal(err)
+		}
+		rec, _ = s.(schemes.PlanRecycler)
 	}
-	rec, _ := s.(schemes.PlanRecycler)
-	old := make([]byte, 64)
-	new := make([]byte, 64)
-	for i := 0; i < 10; i++ {
-		new[i*6%64] ^= 1 << (i % 8)
-	}
-	cycle := func(i int) {
-		plan := s.PlanWrite(LineAddr(i%256), old, new)
+	fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(stream)
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		w := stream[j]
+		plan := s.PlanWrite(w.addr, w.old, w.new)
 		_ = plan.ServiceTime()
 		if rec != nil {
 			rec.RecyclePlan(plan)
 		}
-	}
-	// Warm the pulse freelist, scratch arenas and (for Tetris)
-	// the schedule memo-cache before measuring.
-	for i := 0; i < 256; i++ {
-		cycle(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(i)
 	}
 }
 

@@ -59,8 +59,8 @@ func BenchmarkArrayFlipCount(b *testing.B) {
 }
 
 // BenchmarkSchemePlanWriteDense is the batched-emission stress: every
-// cell of the line changes, so unlike the sparse BenchmarkSchemePlanWrite
-// the cost is dominated by emitting pulse records for all 32 units —
+// cell of the line changes, so unlike the workload-shaped
+// BenchmarkSchemePlanStream the cost is dominated by emitting pulse records for all 32 units —
 // the mask-walk in emitStreams and the cursor refill in the Tetris
 // domain emitter. Steady-state (freelist-warm), so 0 allocs/op.
 func BenchmarkSchemePlanWriteDense(b *testing.B) {

@@ -229,6 +229,8 @@ func (i *Injector) WriteStarted(addr pcm.LineAddr, old, want []byte, plan scheme
 		base: now.Add(plan.Read + plan.Analysis),
 		plan: plan,
 	}
+	// Plans arrive in unspecified pulse order; the cut counts pulses in
+	// time order, so the log keeps a sorted copy.
 	f.plan.Pulses = append([]schemes.Pulse(nil), plan.Pulses...)
 	f.plan.SortPulses()
 	i.seq++

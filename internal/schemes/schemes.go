@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 
+	"tetriswrite/internal/bitutil"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/power"
 	"tetriswrite/internal/units"
@@ -64,7 +65,7 @@ type Pulse struct {
 // Bits returns the number of cells pulsed by this record, including the
 // flip cell. This is the energy-accounting count.
 func (p Pulse) Bits() int {
-	n := popcount16(p.Mask)
+	n := bitutil.PopCount16(p.Mask)
 	if p.FlipCell {
 		n++
 	}
@@ -77,15 +78,7 @@ func (p Pulse) Bits() int {
 // against the budget of 32), the flip-bit drivers sit outside the data
 // budget — in the prototype the 8 flip bits per 128 data bits have their
 // own driver column.
-func (p Pulse) DataBits() int { return popcount16(p.Mask) }
-
-func popcount16(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
+func (p Pulse) DataBits() int { return bitutil.PopCount16(p.Mask) }
 
 // Plan is the full schedule of one cache-line write.
 type Plan struct {
@@ -97,7 +90,11 @@ type Plan struct {
 	Write    units.Duration
 
 	// Pulses hold the programming schedule, offsets relative to the start
-	// of the write phase.
+	// of the write phase. Their order is unspecified: a scheme emits them
+	// in whatever order its schedule walk produces. That order is still
+	// deterministic, because emission is deterministic and identical
+	// inputs yield identical schedules. A consumer that needs time order
+	// sorts a copy with SortPulses.
 	Pulses []Pulse
 
 	// Pulse duration and current per kind, copied from the device
@@ -206,11 +203,12 @@ func (p Plan) Validate(par pcm.Params) error {
 }
 
 // SortPulses orders the plan's pulses by start time (then chip, unit,
-// kind, flip-cell flag, mask) for deterministic output. The comparator is
-// a total order — Plan.Validate forbids two pulses identical in every
-// field — so the sorted order is unique regardless of input order or sort
-// algorithm, which is what lets the scratch-arena path and the
-// fresh-allocation path produce bit-identical plans.
+// kind, flip-cell flag, mask). Plans come out of PlanWrite in unspecified
+// order; consumers that replay a schedule in time order (Array.Apply, the
+// crash intent log) sort their own copy with this. The comparator is a
+// total order — Plan.Validate forbids two pulses identical in every field
+// — so the sorted order is unique regardless of input order or sort
+// algorithm.
 //
 // The common case packs the whole comparator key into one uint64 per
 // pulse — Start(36) Chip(4) Unit(6) Kind(1) FlipCell(1) Mask(16), in

@@ -320,7 +320,7 @@ func TestSplitMaskByBits(t *testing.T) {
 			t.Fatal("chunks overlap")
 		}
 		union |= c
-		total += popcount16(c)
+		total += bitutil.PopCount16(c)
 	}
 	if union != 0xFFFF || total != 16 {
 		t.Fatalf("chunks do not partition the mask: union=%#x total=%d", union, total)
@@ -376,5 +376,3 @@ func BenchmarkPlanWrite(b *testing.B) {
 		})
 	}
 }
-
-var _ = bitutil.PopCount64 // silence unused-import drift during refactors

@@ -211,6 +211,22 @@ func (e *RunError) Error() string {
 
 func (e *RunError) Unwrap() error { return e.Err }
 
+// CapacityError reports, before the run starts, a device too small for
+// the workload's address space: the static private and shared regions
+// plus one fresh-allocation line per core (Need) must fit in the lines
+// the device offers the workload (Have: capacity minus the fault model's
+// spare region).
+type CapacityError struct {
+	Workload   string
+	LineBytes  int
+	Need, Have int64
+}
+
+func (e *CapacityError) Error() string {
+	return fmt.Sprintf("system: workload %s needs %d lines of %d B, device offers %d",
+		e.Workload, e.Need, e.LineBytes, e.Have)
+}
+
 // PanicError is a panic that escaped the simulation, converted to an
 // error so one corrupted cell of a parallel sweep becomes an error row
 // instead of a crashed process. Stack holds the panicking goroutine's
@@ -393,6 +409,22 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	if !cfg.EngineMode.Valid() {
 		return Result{}, fmt.Errorf("system: unknown engine mode %q", cfg.EngineMode)
 	}
+	// The workload lays its address space out within the device, below
+	// the spare region the fault model reserves at the top.
+	spares := 0
+	if cfg.Fault.Enabled() {
+		spares = cfg.SpareLines
+		if spares <= 0 {
+			spares = 64
+		}
+	}
+	progPar := cfg.Params
+	progPar.CapacityBytes -= int64(spares) * int64(progPar.LineBytes)
+	prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, progPar)
+	if have := progPar.Lines(); !prog.Fits(have) {
+		return Result{}, &CapacityError{Workload: prof.Name, LineBytes: progPar.LineBytes,
+			Need: prog.AddressFootprint() + int64(cfg.Cores), Have: have}
+	}
 	cfg.Ctrl.ParallelBanks = cfg.EngineMode.Parallel()
 	eng := sim.NewEngine(cfg.EngineQueue)
 	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: prof.Name, Scheme: factory(cfg.Params).Name()}
@@ -426,7 +458,6 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 		return Result{}, err
 	}
 	g := newGuard(eng, ctrl, cfg, fp)
-	prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, cfg.Params)
 	// Pre-size the cell store to the lines the run can plausibly touch —
 	// the workload's address footprint, capped by its expected memory
 	// access count — so the first-touch preload path skips the store's
@@ -444,10 +475,6 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	var memBase wearlevel.Mem = ctrl
 	snoop := ctrl.Snoop
 	if inj != nil {
-		spares := cfg.SpareLines
-		if spares <= 0 {
-			spares = 64
-		}
 		base := pcm.LineAddr(cfg.Params.Lines() - int64(spares))
 		spare, err = fault.NewSpareRemapper(ctrl, base, spares, ctrl.Snoop)
 		if err != nil {

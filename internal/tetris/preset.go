@@ -116,7 +116,6 @@ func (s *scheme) PlanPreset(addr pcm.LineAddr, old []byte) schemes.Plan {
 	for _, em := range emissions {
 		s.emitPreset(&p, em.sched, em.dom.chips, work, pitch)
 	}
-	p.SortPulses()
 	return p
 }
 

@@ -299,7 +299,6 @@ func (s *scheme) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
 	for _, em := range emissions {
 		s.emitDomain(&p, em.sched, em.dom.chips, work, pitch)
 	}
-	p.SortPulses()
 	return p
 }
 

@@ -160,6 +160,7 @@ type Program struct {
 	shadow    *linestore.Store // lines as inline little-endian words
 	shrdBase  pcm.LineAddr
 	frontBase pcm.LineAddr
+	frontCap  pcm.LineAddr // lines in each core's fresh-allocation region
 	cores     int
 }
 
@@ -184,15 +185,26 @@ func NewProgram(prof Profile, cores int, seed int64, par pcm.Params) *Program {
 		prof.Burstiness = 0
 	}
 	shrdBase := pcm.LineAddr(int64(cores) * int64(prof.PrivateLines))
+	// The shared region sits above all private regions, and the
+	// fresh-allocation frontier above that.
+	frontBase := shrdBase + pcm.LineAddr(prof.SharedLines)
+	// Each core's allocation region is frontierCap lines, shrunk so that
+	// all of them end within the device (par.Lines()): large lines leave
+	// it few lines. Params without a capacity keep the full frontierCap.
+	frontCap := pcm.LineAddr(frontierCap)
+	if par.LineBytes > 0 && par.CapacityBytes > 0 && cores > 0 {
+		if fit := (par.Lines() - int64(frontBase)) / int64(cores); fit < int64(frontCap) {
+			frontCap = pcm.LineAddr(max(fit, 0))
+		}
+	}
 	return &Program{
-		prof:   prof,
-		par:    par,
-		seed:   seed,
-		shadow: linestore.NewStore(linestore.Words(par.LineBytes)),
-		// The shared region sits above all private regions, and the
-		// fresh-allocation frontier above that.
+		prof:      prof,
+		par:       par,
+		seed:      seed,
+		shadow:    linestore.NewStore(linestore.Words(par.LineBytes)),
 		shrdBase:  shrdBase,
-		frontBase: shrdBase + pcm.LineAddr(prof.SharedLines),
+		frontBase: frontBase,
+		frontCap:  frontCap,
 		cores:     cores,
 	}
 }
@@ -202,6 +214,14 @@ func NewProgram(prof Profile, cores int, seed int64, par pcm.Params) *Program {
 // bulk of the distinct lines a run touches; fresh allocations extend a
 // little past it. Device sizing uses it as a capacity hint.
 func (p *Program) AddressFootprint() int64 { return int64(p.frontBase) }
+
+// Fits reports whether every line the program can touch — the static
+// regions plus each core's fresh-allocation region, at least one line
+// long — lies below lines. NewProgram sizes the regions to the device,
+// so this fails only when the static regions leave no room for them.
+func (p *Program) Fits(lines int64) bool {
+	return p.frontCap > 0 && int64(p.frontBase)+int64(p.cores)*int64(p.frontCap) <= lines
+}
 
 // Profile returns the program's (normalized) profile.
 func (p *Program) Profile() Profile { return p.prof }
@@ -220,12 +240,12 @@ func (p *Program) Generator(core int) *Generator {
 		rng:       rng,
 		prog:      p,
 		privBase:  pcm.LineAddr(int64(core) * int64(p.prof.PrivateLines)),
-		frontier:  p.frontBase + pcm.LineAddr(int64(core)*frontierCap),
+		frontier:  p.frontBase + pcm.LineAddr(core)*p.frontCap,
 		lineLen:   p.par.LineBytes,
 		meanGap:   1000 / apki,
 		freshFrac: (p.prof.MeanSets - p.prof.MeanResets) / total,
 	}
-	g.frontEnd = g.frontier + frontierCap
+	g.frontEnd = g.frontier + p.frontCap
 	g.zipfPriv = rand.NewZipf(rng, p.prof.ZipfS, 1, uint64(p.prof.PrivateLines-1))
 	g.zipfShrd = rand.NewZipf(rng, p.prof.ZipfS, 1, uint64(p.prof.SharedLines-1))
 	scale := 1 / (1 - p.prof.UntouchedUnits)
@@ -349,7 +369,7 @@ func (g *Generator) allocFresh() pcm.LineAddr {
 	a := g.frontier
 	g.frontier++
 	if g.frontier >= g.frontEnd {
-		g.frontier = g.frontEnd - frontierCap
+		g.frontier = g.frontEnd - g.prog.frontCap
 	}
 	return a
 }

@@ -161,6 +161,46 @@ func TestBitChangeCalibration(t *testing.T) {
 	}
 }
 
+// The per-core allocation frontiers shrink to fit the device: on a device
+// with room for only a few fresh lines per core, every core's addresses
+// stay below the device's line count, and each core wraps within its own
+// frontier instead of running into the next core's.
+func TestFrontiersFitDevice(t *testing.T) {
+	prof, _ := ProfileByName("vips")
+	par := pcm.DefaultParams()
+	const cores, room = 4, 16
+	static := NewProgram(prof, cores, 3, par).AddressFootprint()
+	par.CapacityBytes = int64(par.LineBytes) * (static + cores*room + 3)
+	prog := NewProgram(prof, cores, 3, par)
+	if !prog.Fits(par.Lines()) || prog.frontCap != room {
+		t.Fatalf("frontiers of %d lines on a %d-line device, want %d", prog.frontCap, par.Lines(), room)
+	}
+	for c := 0; c < cores; c++ {
+		g := prog.Generator(c)
+		lo := pcm.LineAddr(static + int64(c)*room)
+		fresh := map[pcm.LineAddr]bool{}
+		for i := 0; i < 5000; i++ {
+			op := g.Next()
+			if int64(op.Addr) >= static {
+				if op.Addr < lo || op.Addr >= lo+room {
+					t.Fatalf("core %d: fresh line %d outside its frontier [%d, %d)", c, op.Addr, lo, lo+room)
+				}
+				fresh[op.Addr] = true
+			}
+		}
+		if len(fresh) != room {
+			t.Errorf("core %d touched %d of its %d frontier lines", c, len(fresh), room)
+		}
+	}
+	// One fresh line per core is the least a device can offer.
+	for _, lines := range []int64{static + cores - 1, static + cores} {
+		par.CapacityBytes = int64(par.LineBytes) * lines
+		if got, want := NewProgram(prof, cores, 3, par).Fits(lines), lines == static+cores; got != want {
+			t.Errorf("Fits on a %d-line device (static regions %d) = %v, want %v", lines, static, got, want)
+		}
+	}
+}
+
 func popcntByte(b byte) int {
 	n := 0
 	for ; b != 0; b &= b - 1 {
