@@ -262,14 +262,12 @@ func benchPlanStream(b *testing.B, name string, stream []planWrite) {
 // memory system's mix (same-cycle follow-ups, device-timing delays in
 // the tens of ns to tens of us, rare far-future maintenance work). One
 // op is one event, so the default 1 s bench time processes well over
-// 10M events — the scale at which the seed engine's O(log n) heap and
-// its pointer-chasing comparisons dominate, and the regime the ROADMAP's
-// million-user traces live in.
-func benchEngineLongTrace(b *testing.B, kind sim.QueueKind, population int) {
+// 10M events.
+func benchEngineLongTrace(b *testing.B, population int) {
 	// The delay stream is precomputed so the measured loop is queue cost,
-	// not random-number generation; both variants replay the same table.
+	// not random-number generation.
 	delays := longTraceDelays(1 << 16)
-	eng := sim.NewEngine(kind)
+	eng := &sim.Engine{}
 	pos := 0
 	var fn func()
 	fn = func() {
@@ -290,7 +288,7 @@ func benchEngineLongTrace(b *testing.B, kind sim.QueueKind, population int) {
 // system's event mix: 10% same-cycle follow-ups (queue drains, callback
 // chains), 75% device-timing delays (tRead up to a long write), 14%
 // scheduling-horizon delays up to 100 us, and 1% far-future maintenance
-// work beyond the wheel span (exercising the overflow heap).
+// work 2 s out.
 func longTraceDelays(n int) []units.Duration {
 	rng := uint64(1)
 	next := func() uint64 {
@@ -317,21 +315,16 @@ func longTraceDelays(n int) []units.Duration {
 	return out
 }
 
-// BenchmarkEngineLongTrace compares the timing-wheel engine (the
-// default) against the seed binary heap on the long-trace event pattern,
-// across pending-population sizes: 4Ki ≈ a loaded single-rank
-// configuration, 32Ki ≈ a deep multi-bank write queue plus every
-// outstanding read and wear-leveling timer, 128Ki ≈ the ROADMAP's
-// million-user trace regime. The two variants replay the identical
-// deterministic schedule; the ns/op gap is pure data-structure cost, and
-// the heap's O(log n) comparisons widen it as the population grows.
+// BenchmarkEngineLongTrace measures the event heap on the long-trace
+// event pattern across pending-population sizes far above what real
+// runs keep queued (about a dozen events): 4Ki, 32Ki and 128Ki. The
+// heap's O(log n) comparisons show as ns/op growing with the population.
 func BenchmarkEngineLongTrace(b *testing.B) {
 	for _, pop := range []struct {
 		name string
 		n    int
 	}{{"4Ki", 1 << 12}, {"32Ki", 1 << 15}, {"128Ki", 1 << 17}} {
-		b.Run("wheel-"+pop.name, func(b *testing.B) { benchEngineLongTrace(b, sim.QueueWheel, pop.n) })
-		b.Run("heap-"+pop.name, func(b *testing.B) { benchEngineLongTrace(b, sim.QueueHeap, pop.n) })
+		b.Run("heap-"+pop.name, func(b *testing.B) { benchEngineLongTrace(b, pop.n) })
 	}
 }
 

@@ -230,3 +230,22 @@ func TestRunTraceLineSizeMismatch(t *testing.T) {
 		t.Errorf("mismatch error does not name both sizes: %v", err)
 	}
 }
+
+// Flip-tag schemes keep one 64-bit tag word per line, so -line 256 (128
+// chip x data-unit pairs) is refused up front for them, while schemes
+// without tags run there under the deep checks.
+func TestRunLineRejectsFlipTagSchemes(t *testing.T) {
+	var out, errb bytes.Buffer
+	for _, s := range []string{"tetris", "fnw", "3stage"} {
+		err := run(context.Background(), []string{"-scheme", s, "-line", "256", "-instr", "20000", "-guard", "-deep-checks"}, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), "-line 256") || !strings.Contains(err.Error(), "flip-tag") {
+			t.Errorf("-scheme %s -line 256: err = %v, want a flip-tag rejection naming -line", s, err)
+		}
+	}
+	for _, s := range []string{"dcw", "conventional"} {
+		out.Reset()
+		if err := run(context.Background(), []string{"-scheme", s, "-line", "256", "-instr", "20000", "-guard", "-deep-checks"}, &out, &errb); err != nil {
+			t.Errorf("-scheme %s -line 256: %v", s, err)
+		}
+	}
+}

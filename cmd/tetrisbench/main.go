@@ -33,6 +33,7 @@ import (
 	"tetriswrite/internal/mlc"
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/prof"
+	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/sim"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/units"
@@ -64,7 +65,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		seq        = fs.Bool("sequential", false, "disable parallel simulation")
 		par        = fs.Int("parallel", 0, "concurrent full-system simulations (0 = all CPUs; tables are bit-identical at any value)")
 		runTO      = fs.Duration("run-timeout", 0, "wall-clock limit per full-system simulation, e.g. 5m (0 = none)")
-		engine     = fs.String("engine", "", "event queue implementation: wheel (default) or heap; tables are bit-identical")
 		engineMode = fs.String("engine-mode", "", "execution mode: serial (default) or parallel (per-bank planning workers); tables are bit-identical")
 		schemeList = fs.String("schemes", "", "comma-separated scheme names for the full-system figures (registry names, composable with +, e.g. baseline,tetris,dcw+flipmin,adaptive); empty = the paper set; the first is the normalization baseline")
 		energy     = fs.Bool("energy", false, "also print the energy-per-write table with the full-system figures")
@@ -112,9 +112,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	if *runTO < 0 {
 		return fmt.Errorf("-run-timeout %v: cannot be negative", *runTO)
 	}
-	if !sim.QueueKind(*engine).Valid() {
-		return fmt.Errorf("-engine %q: want wheel or heap", *engine)
-	}
 	if !sim.EngineMode(*engineMode).Valid() {
 		return fmt.Errorf("-engine-mode %q: want serial or parallel", *engineMode)
 	}
@@ -126,7 +123,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		Sequential:  *seq,
 		Parallel:    *par,
 		RunTimeout:  *runTO,
-		EngineQueue: sim.QueueKind(*engine),
 		EngineMode:  sim.EngineMode(*engineMode),
 	}
 	if *schemeList != "" {
@@ -152,6 +148,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		par.LineBytes = *line
 		if err := par.Validate(); err != nil {
 			return fmt.Errorf("-line %d: %w", *line, err)
+		}
+		set, err := exp.ResolveSchemes(opt.Schemes)
+		if err != nil {
+			return err
+		}
+		for _, nf := range set {
+			if err := schemes.CheckFlipTags(nf.Factory(par), par); err != nil {
+				return fmt.Errorf("-line %d: %w", *line, err)
+			}
 		}
 		opt.Params = par
 	}

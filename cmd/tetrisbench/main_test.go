@@ -313,3 +313,17 @@ func TestRunProfileFlags(t *testing.T) {
 		}
 	}
 }
+
+// -line 256 is refused when the scheme set holds a flip-tag scheme (the
+// paper set does), and accepted for schemes without tags.
+func TestLineRejectsFlipTagSchemes(t *testing.T) {
+	var out, errb bytes.Buffer
+	err := run(context.Background(), []string{"-fig", "13", "-line", "256", "-instr", "5000"}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "flip-tag") {
+		t.Fatalf("-line 256 with the paper set: err = %v, want a flip-tag rejection", err)
+	}
+	if err := run(context.Background(), []string{"-fig", "13", "-line", "256", "-instr", "5000", "-writes", "50",
+		"-schemes", "dcw,conventional"}, &out, &errb); err != nil {
+		t.Fatalf("-line 256 -schemes dcw,conventional: %v", err)
+	}
+}

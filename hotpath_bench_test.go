@@ -2,10 +2,11 @@ package tetriswrite
 
 // Micro-benchmarks for the three layers the structure-of-arrays rewrite
 // targets (see DESIGN.md, Performance): the word-parallel cell store,
-// the batched pulse emission and the flat cache hit path. They are part
-// of the gated set (Makefile BENCHFILTER, ci.yml bench-gate) so the
-// fast paths cannot silently fall back to the scalar code — a fallback
-// shows up as an ns/op and allocs/op cliff.
+// the batched pulse emission and the flat cache hit path, plus the
+// workload generator. They are part of the gated set (Makefile
+// BENCHFILTER, ci.yml bench-gate) so the fast paths cannot silently fall
+// back to the scalar code — a fallback shows up as an ns/op and
+// allocs/op cliff.
 
 import (
 	"math/bits"
@@ -18,6 +19,7 @@ import (
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/sim"
 	"tetriswrite/internal/units"
+	"tetriswrite/internal/workload"
 )
 
 // BenchmarkArrayFlipCount measures the SoA cell store's read surface:
@@ -123,5 +125,27 @@ func BenchmarkCacheHit(b *testing.B) {
 	b.StopTimer()
 	if hits != b.N {
 		b.Fatalf("%d of %d reads completed", hits, b.N)
+	}
+}
+
+// BenchmarkGeneratorNext measures the workload generator's steady state,
+// one Next per op on core 0 of a 4-core program: vips, the write-heavy
+// profile whose payload mutation draws dozens of bit positions per
+// write, and canneal, the read-dominated one whose cost is mostly the
+// think-gap and Zipf address draws. Writes copy the line payload out,
+// so allocs/op is the write fraction rounded down to 0.
+func BenchmarkGeneratorNext(b *testing.B) {
+	for _, name := range []string{"vips", "canneal"} {
+		b.Run(name, func(b *testing.B) {
+			prof, err := workload.ProfileByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := workload.NewProgram(prof, 4, 1, pcm.DefaultParams()).Generator(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = g.Next()
+			}
+		})
 	}
 }

@@ -47,7 +47,7 @@ func testOps(par pcm.Params, n int) []op {
 // The returned engine has already run to completion or to the cut.
 func runStream(t *testing.T, factory schemes.Factory, cfg crash.Config, ops []op) (*sim.Engine, *pcm.Device, *crash.Injector, []bool) {
 	t.Helper()
-	eng := sim.NewEngine(sim.QueueWheel)
+	eng := &sim.Engine{}
 	par := pcm.DefaultParams()
 	dev := pcm.MustNewDevice(par)
 	ctrl := memctrl.New(eng, dev, factory, memctrl.Config{OpportunisticWrites: true, DisableCoalescing: true})
@@ -86,7 +86,7 @@ func TestDisabledInjectorIsPureObserver(t *testing.T) {
 	ops := testOps(par, 60)
 
 	bare := func() *pcm.Device {
-		eng := sim.NewEngine(sim.QueueWheel)
+		eng := &sim.Engine{}
 		dev := pcm.MustNewDevice(par)
 		ctrl := memctrl.New(eng, dev, tetris.New, memctrl.Config{OpportunisticWrites: true, DisableCoalescing: true})
 		done := 0

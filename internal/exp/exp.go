@@ -84,15 +84,9 @@ type Options struct {
 	// full-system run; a violation aborts that cell and surfaces in
 	// FullResults.Errs.
 	Guard guard.Config
-	// EngineQueue selects the simulation engine's event-queue backend
-	// for every full-system cell (sim.QueueWheel, the default, or
-	// sim.QueueHeap). Results are bit-identical either way; the knob
-	// exists for A/B benchmarking and cross-checking.
-	EngineQueue sim.QueueKind
 	// EngineMode selects serial or parallel (per-bank worker) execution
-	// for every full-system cell. Like EngineQueue, results are
-	// bit-identical either way; parallel trades goroutine overhead for
-	// off-thread write planning.
+	// for every full-system cell. Results are bit-identical either way;
+	// parallel trades goroutine overhead for off-thread write planning.
 	EngineMode sim.EngineMode
 }
 
@@ -350,7 +344,6 @@ func RunFullSystemCtx(ctx context.Context, opt Options) (*FullResults, error) {
 						Ctrl:        memctrl.Config{},
 						Epoch:       opt.Epoch,
 						Guard:       opt.Guard,
-						EngineQueue: opt.EngineQueue,
 						EngineMode:  opt.EngineMode,
 					}
 					return system.RunCtx(ctx, fr.Profiles[w], fr.Schemes[s].Factory, cfg)

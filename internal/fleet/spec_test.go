@@ -11,7 +11,7 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Instr != 1_000_000 || s.Cores != 4 || s.LineBytes != 64 || s.Engine != "wheel" {
+	if s.Instr != 1_000_000 || s.Cores != 4 || s.LineBytes != 64 {
 		t.Errorf("defaults wrong: %+v", s)
 	}
 	if len(s.Seeds) != 1 || s.Seeds[0] != 1 {
@@ -29,13 +29,13 @@ func TestSpecNormalizeRejectsBadInputs(t *testing.T) {
 	cases := []SweepSpec{
 		{Workloads: []string{"no-such-workload"}},
 		{Schemes: []string{"no-such-scheme"}},
-		{Engine: "bogo-queue"},
 		{Figs: []int{3}}, // needs per-write sampling, not renderable from summaries
 		{Figs: []int{15}},
 		{Retries: -1},
 		{ShardTimeout: "ninety seconds"},
 		{Deadline: "-5s"},
 		{LineBytes: -1},
+		{LineBytes: 256}, // the paper set keeps flip tags, one word per line
 	}
 	for i, s := range cases {
 		if err := s.Normalize(); err == nil {
@@ -71,18 +71,17 @@ func TestShardsDeterministicOrder(t *testing.T) {
 }
 
 func TestFingerprintDistinguishesEveryField(t *testing.T) {
-	base := ShardSpec{Workload: "vips", Scheme: "tetris", Seed: 1, Instr: 1000, Cores: 4, LineBytes: 64, Engine: "wheel"}
+	base := ShardSpec{Workload: "vips", Scheme: "tetris", Seed: 1, Instr: 1000, Cores: 4, LineBytes: 64}
 	if base.Fingerprint() != base.Fingerprint() {
 		t.Fatal("fingerprint unstable")
 	}
-	variants := []ShardSpec{base, base, base, base, base, base, base}
+	variants := []ShardSpec{base, base, base, base, base, base}
 	variants[0].Workload = "ferret"
 	variants[1].Scheme = "fnw"
 	variants[2].Seed = 2
 	variants[3].Instr = 2000
 	variants[4].Cores = 8
 	variants[5].LineBytes = 128
-	variants[6].Engine = "heap"
 	seen := map[string]int{base.Fingerprint(): -1}
 	for i, v := range variants {
 		fp := v.Fingerprint()
@@ -100,7 +99,7 @@ func TestFingerprintDistinguishesEveryField(t *testing.T) {
 // yields identical summaries — the determinism the whole broker design
 // (dedup, cache, retry-anywhere) is built on.
 func TestRunShardMatchesFingerprintContract(t *testing.T) {
-	sp := ShardSpec{Workload: "vips", Scheme: "tetris", Seed: 1, Instr: 2000, Cores: 2, LineBytes: 64, Engine: "wheel"}
+	sp := ShardSpec{Workload: "vips", Scheme: "tetris", Seed: 1, Instr: 2000, Cores: 2, LineBytes: 64}
 	s1, err := RunShard(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
@@ -121,21 +120,21 @@ func TestRunShardMatchesFingerprintContract(t *testing.T) {
 }
 
 func TestRunShardUnknownNames(t *testing.T) {
-	if _, err := RunShard(context.Background(), ShardSpec{Workload: "nope", Scheme: "tetris", Instr: 100, Cores: 1, Engine: "wheel"}); err == nil {
+	if _, err := RunShard(context.Background(), ShardSpec{Workload: "nope", Scheme: "tetris", Instr: 100, Cores: 1}); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := RunShard(context.Background(), ShardSpec{Workload: "vips", Scheme: "nope", Instr: 100, Cores: 1, Engine: "wheel"}); err == nil {
+	if _, err := RunShard(context.Background(), ShardSpec{Workload: "vips", Scheme: "nope", Instr: 100, Cores: 1}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
 
-// TestFingerprintCanonicalizesSchemes: the v2 fingerprint hashes the
+// TestFingerprintCanonicalizesSchemes: the fingerprint hashes the
 // registry-canonical scheme name, so alias spellings share one cache
 // entry while distinct compositions stay distinct.
 func TestFingerprintCanonicalizesSchemes(t *testing.T) {
 	fp := func(scheme string) string {
 		s := ShardSpec{Workload: "vips", Scheme: scheme, Seed: 1, Instr: 1000,
-			Cores: 4, LineBytes: 64, Engine: "wheel"}
+			Cores: 4, LineBytes: 64}
 		return s.Fingerprint()
 	}
 	same := [][2]string{
@@ -165,7 +164,7 @@ func TestFingerprintCanonicalizesSchemes(t *testing.T) {
 // through the fleet shard runner, deterministically.
 func TestRunShardComposedScheme(t *testing.T) {
 	sp := ShardSpec{Workload: "canneal", Scheme: "dcw+flipmin", Seed: 1,
-		Instr: 2000, Cores: 2, LineBytes: 64, Engine: "wheel"}
+		Instr: 2000, Cores: 2, LineBytes: 64}
 	s1, err := RunShard(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)

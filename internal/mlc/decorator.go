@@ -56,6 +56,9 @@ func (s *cellMode) FlipTags(addr pcm.LineAddr) uint64 {
 	return s.tags.FlipTags(addr)
 }
 
+// HasFlipTags reports whether the inner scheme keeps flip tags.
+func (s *cellMode) HasFlipTags() bool { return schemes.HasFlipTags(s.inner) }
+
 // ClassifyTorn forwards to the inner scheme: the decorator never alters
 // the pulse train, so the torn-state question belongs to whoever coded
 // the cells.

@@ -1,6 +1,8 @@
 package schemes
 
 import (
+	"slices"
+
 	"tetriswrite/internal/bitutil"
 	"tetriswrite/internal/linestore"
 	"tetriswrite/internal/pcm"
@@ -149,6 +151,10 @@ func NewAdaptive(cands []Candidate, cfg AdaptiveConfig) Factory {
 
 func (s *adaptive) Name() string               { return "adaptive" }
 func (s *adaptive) NeedsReadBeforeWrite() bool { return s.needsRead }
+
+// HasFlipTags reports whether any candidate keeps flip tags: a line
+// handed to such a candidate carries them.
+func (s *adaptive) HasFlipTags() bool { return slices.ContainsFunc(s.cands, HasFlipTags) }
 
 // ObserveQueues implements QueueObserver: the bank's queue depths ahead
 // of each write, folded into the pressure EWMA the policy thresholds.

@@ -93,6 +93,9 @@ func (s *remapper) FlipTags(addr pcm.LineAddr) uint64 {
 	return s.reader.FlipTags(addr)
 }
 
+// HasFlipTags reports whether the inner scheme keeps flip tags.
+func (s *remapper) HasFlipTags() bool { return HasFlipTags(s.inner) }
+
 // RecyclePlan implements PlanRecycler by routing to the inner arena.
 func (s *remapper) RecyclePlan(p Plan) {
 	if s.rec != nil {

@@ -317,6 +317,46 @@ type FlipTagReader interface {
 	FlipTags(addr pcm.LineAddr) uint64
 }
 
+// maxFlipTagPairs is the number of (chip, data unit) pairs one
+// FlipTagReader word can tag.
+const maxFlipTagPairs = 64
+
+// HasFlipTags reports whether s keeps per-line flip tags in the
+// FlipTagReader layout. Wrappers whose tag state is that of what they
+// wrap — the remap and mlc decorators, the adaptive meta-scheme — answer
+// through a HasFlipTags method; any other scheme keeps tags exactly when
+// it implements FlipTagReader.
+func HasFlipTags(s Scheme) bool {
+	if w, ok := s.(interface{ HasFlipTags() bool }); ok {
+		return w.HasFlipTags()
+	}
+	_, ok := s.(FlipTagReader)
+	return ok
+}
+
+// FlipTagError rejects a flip-tag scheme on a geometry whose lines have
+// more (chip, data unit) pairs than one tag word holds: the upper pairs'
+// tags would be silently dropped and the stored lines decode wrong.
+type FlipTagError struct {
+	Scheme    string
+	LineBytes int
+	Pairs     int // NumChips x DataUnits
+}
+
+func (e *FlipTagError) Error() string {
+	return fmt.Sprintf("scheme %s keeps one %d-bit flip-tag word per line, but a %d B line has %d (chip, data unit) pairs",
+		e.Scheme, maxFlipTagPairs, e.LineBytes, e.Pairs)
+}
+
+// CheckFlipTags returns a *FlipTagError when s keeps flip tags and par's
+// lines have more than maxFlipTagPairs (chip, data unit) pairs.
+func CheckFlipTags(s Scheme, par pcm.Params) error {
+	if n := par.NumChips * par.DataUnits(); n > maxFlipTagPairs && HasFlipTags(s) {
+		return &FlipTagError{Scheme: s.Name(), LineBytes: par.LineBytes, Pairs: n}
+	}
+	return nil
+}
+
 // QueueObserver is implemented by schemes that adapt to controller load.
 // The memory controller calls ObserveQueues with the bank's current read
 // and write queue depths immediately before each PlanWrite. The depths

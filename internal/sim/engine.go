@@ -2,11 +2,9 @@
 // shared by the full-system experiments: a time-ordered event queue with
 // stable tie-breaking, so identical inputs always replay identically.
 //
-// Two queue implementations back the engine (see QueueKind): a
-// hierarchical timing wheel with O(1) schedule/advance (the default) and
-// the original binary heap. Both pop events in exactly the same
-// (time, sequence) order, which the cross-check tests enforce, so every
-// Result is bit-identical whichever queue is selected.
+// The queue is one binary min-heap ordered by (time, sequence). Real runs
+// keep about a dozen events pending, where a heap of that depth costs a
+// few comparisons per event.
 package sim
 
 import (
@@ -17,10 +15,9 @@ import (
 
 // Event is a callback scheduled at a point in simulated time.
 type event struct {
-	at   units.Time
-	seq  uint64 // insertion order, breaks ties deterministically
-	fn   func()
-	next *event // intrusive slot-list link (timing wheel only)
+	at  units.Time
+	seq uint64 // insertion order, breaks ties deterministically
+	fn  func()
 
 	// resolve, when non-nil, marks a lazily-timed event (AtLazy): at is a
 	// conservative lower bound and resolve is consulted when the event
@@ -28,8 +25,7 @@ type event struct {
 	resolve func() (units.Time, func())
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq). It backs the
-// QueueHeap engine and the timing wheel's far-future overflow.
+// eventHeap is a binary min-heap ordered by (at, seq).
 type eventHeap []*event
 
 func eventLess(a, b *event) bool {
@@ -41,56 +37,59 @@ func eventLess(a, b *event) bool {
 
 // heapPush and heapPop are container/heap without the interface boxing:
 // the queue is the engine's innermost loop, so the any round-trips and
-// Less/Swap indirection are worth avoiding.
+// Less/Swap indirection are worth avoiding. Both sift a hole instead of
+// swapping, writing each moved slot once and the placed event last.
 func heapPush(h *eventHeap, ev *event) {
 	*h = append(*h, ev)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(s[i], s[parent]) {
+		if !eventLess(ev, s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 }
 
+// heapPop removes and returns the earliest event; the heap must not be
+// empty.
 func heapPop(h *eventHeap) *event {
 	s := *h
-	n := len(s)
+	n := len(s) - 1
 	top := s[0]
-	s[0] = s[n-1]
-	s[n-1] = nil
-	s = s[:n-1]
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
 	*h = s
-	// Sift the moved element down.
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < len(s) && eventLess(s[l], s[least]) {
-			least = l
-		}
-		if r < len(s) && eventLess(s[r], s[least]) {
-			least = r
-		}
-		if least == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[least] = s[least], s[i]
-		i = least
+		if r := c + 1; r < n && eventLess(s[r], s[c]) {
+			c = r
+		}
+		if !eventLess(s[c], last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = last
 	}
 	return top
 }
 
-// Engine runs events in time order. The zero value is ready to use and
-// is backed by the timing wheel; NewEngine selects the implementation
-// explicitly. Engines are single-threaded: all scheduling must happen
-// from event callbacks or before Run.
+// Engine runs events in time order. The zero value is ready to use.
+// Engines are single-threaded: all scheduling must happen from event
+// callbacks or before Run.
 type Engine struct {
-	q       eventQueue
-	kind    QueueKind
+	q       eventHeap
 	now     units.Time
 	seq     uint64
 	events  uint64
@@ -103,38 +102,12 @@ type Engine struct {
 	free []*event
 }
 
-// NewEngine returns an engine backed by the given queue kind. The empty
-// kind selects the timing wheel (the default). It panics on unknown
-// kinds — queue selection is configuration, and a typo there should not
-// silently fall back.
-func NewEngine(kind QueueKind) *Engine {
-	if !kind.Valid() {
-		panic(fmt.Sprintf("sim: unknown queue kind %q", kind))
-	}
-	return &Engine{kind: kind}
-}
-
-// Queue returns the engine's queue kind (never empty: the zero value
-// resolves to QueueWheel).
-func (e *Engine) Queue() QueueKind {
-	if e.kind == "" {
-		return QueueWheel
-	}
-	return e.kind
-}
-
-// queue lazily builds the configured queue, so the zero Engine value
-// stays ready to use.
-func (e *Engine) queue() eventQueue {
-	if e.q == nil {
-		if e.kind == QueueHeap {
-			e.q = &heapQueue{}
-		} else {
-			e.q = newTimingWheel()
-		}
-	}
-	return e.q
-}
+// NewEngine returns a ready engine, the same as &Engine{}.
+//
+// Deprecated: the argument is ignored. It once selected the event-queue
+// implementation; there is now one queue, and the parameter remains
+// only so callers that passed the empty default still compile.
+func NewEngine(_ ...string) *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Time { return e.now }
@@ -143,12 +116,7 @@ func (e *Engine) Now() units.Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.events }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int {
-	if e.q == nil {
-		return 0
-	}
-	return e.q.len()
-}
+func (e *Engine) Pending() int { return len(e.q) }
 
 // At schedules fn at absolute time t, which must not precede the current
 // time (the simulator has no time machine; scheduling in the past is
@@ -166,8 +134,8 @@ func (e *Engine) At(t units.Time, fn func()) {
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.seq, ev.fn, ev.next, ev.resolve = t, e.seq, fn, nil, nil
-	e.queue().push(ev)
+	ev.at, ev.seq, ev.fn, ev.resolve = t, e.seq, fn, nil
+	heapPush(&e.q, ev)
 }
 
 // AtLazy schedules an event whose final time is not yet known: t is a
@@ -199,8 +167,8 @@ func (e *Engine) AtLazy(t units.Time, resolve func() (units.Time, func())) {
 	} else {
 		ev = new(event)
 	}
-	ev.at, ev.seq, ev.fn, ev.next, ev.resolve = t, e.seq, nil, nil, resolve
-	e.queue().push(ev)
+	ev.at, ev.seq, ev.fn, ev.resolve = t, e.seq, nil, resolve
+	heapPush(&e.q, ev)
 }
 
 // After schedules fn d after the current time.
@@ -217,10 +185,10 @@ func (e *Engine) After(d units.Duration, fn func()) {
 // neither the clock nor the processed count advances — the resolution is
 // invisible to watchdog budgets and Result counters.
 func (e *Engine) Step() bool {
-	ev := e.queue().pop()
-	if ev == nil {
+	if len(e.q) == 0 {
 		return false
 	}
+	ev := heapPop(&e.q)
 	if ev.resolve != nil {
 		at, fn := ev.resolve()
 		ev.resolve = nil
@@ -228,16 +196,13 @@ func (e *Engine) Step() bool {
 			panic(fmt.Sprintf("sim: lazy event resolved to %v, before its bound %v", at, ev.at))
 		}
 		if at > ev.at {
-			// Re-queue at the final time under the original seq. The
-			// level-0 wheel tick is one time unit, so a strictly later
-			// time can never land in the already-drained ready buffer.
-			ev.at, ev.fn, ev.next = at, fn, nil
-			e.queue().push(ev)
+			// Re-queue at the final time under the original seq.
+			ev.at, ev.fn = at, fn
+			heapPush(&e.q, ev)
 			return true
 		}
-		// Equal to the bound: must run in this same Step — re-queueing an
-		// equal-time event behind the wheel's drained ready buffer would
-		// order it after same-tick events with higher seq.
+		// Equal to the bound: it is still the heap minimum, so it runs in
+		// this same Step.
 		ev.fn = fn
 	}
 	e.now = ev.at
@@ -247,7 +212,6 @@ func (e *Engine) Step() bool {
 	// At calls may reuse it immediately. Clearing fn releases the
 	// closure's captures as soon as the event is done.
 	ev.fn = nil
-	ev.next = nil
 	e.free = append(e.free, ev)
 	fn()
 	return true
@@ -264,12 +228,7 @@ func (e *Engine) Run() {
 // events stay queued; the current time advances to t even if no event
 // lands exactly there.
 func (e *Engine) RunUntil(t units.Time) {
-	q := e.queue()
-	for {
-		at, ok := q.peek()
-		if !ok || at > t {
-			break
-		}
+	for len(e.q) > 0 && e.q[0].at <= t {
 		e.Step()
 	}
 	if e.now < t {

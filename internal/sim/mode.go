@@ -5,7 +5,7 @@ package sim
 // write planning offloaded to worker goroutines under conservative
 // lookahead (see memctrl's parallel controller). Both modes produce
 // bit-identical Results; the cross-check sweep in internal/system
-// enforces it. Like QueueKind, the zero value resolves to the default.
+// enforces it. The zero value resolves to the default.
 type EngineMode string
 
 const (

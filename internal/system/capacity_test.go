@@ -7,7 +7,9 @@ import (
 
 	"tetriswrite/internal/fault"
 	"tetriswrite/internal/guard"
+	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/tetris"
+	"tetriswrite/internal/trace"
 	"tetriswrite/internal/workload"
 )
 
@@ -15,7 +17,9 @@ import (
 // workload's 64 B-sized allocation frontiers span. These configurations
 // used to pass validation and then panic mid-run on an out-of-range line
 // address; the frontiers now shrink to fit the device, so each runs to
-// completion.
+// completion. DCW keeps no flip tags, so it runs at every line size
+// (flip-tag schemes are rejected above 128 B, see
+// TestRunRejectsFlipTagsOnWideLines) and the deep checks hold.
 func TestRunLargeLinesFitDevice(t *testing.T) {
 	cases := []struct {
 		workload string
@@ -30,8 +34,8 @@ func TestRunLargeLinesFitDevice(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Params.LineBytes = c.line
 			cfg.InstrBudget = 20_000
-			cfg.Guard = guard.Config{Enabled: true}
-			res, err := Run(prof, tetris.New, cfg)
+			cfg.Guard = guard.Config{Enabled: true, DeepChecks: true}
+			res, err := Run(prof, schemes.NewDCW, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,5 +79,52 @@ func TestRunRejectsDeviceTooSmall(t *testing.T) {
 	cfg.SpareLines = 8
 	if _, err := Run(prof, tetris.New, cfg); !errors.As(err, &ce) || ce.Have != need-8 {
 		t.Fatalf("spare region not charged against the device: %v", err)
+	}
+}
+
+// Flip tags are one uint64 per line, one bit per (chip, data unit) pair,
+// so a flip-tag scheme on lines with more than 64 pairs (256 B at the
+// default 4 x16 chips) would drop the upper tags and decode wrong. Such
+// runs are rejected up front with a typed error, through both entry
+// points; schemes without tags still run there with the deep checks
+// holding.
+func TestRunRejectsFlipTagsOnWideLines(t *testing.T) {
+	prof, _ := workload.ProfileByName("vips")
+	cfg := smallConfig()
+	cfg.Params.LineBytes = 256
+	cfg.InstrBudget = 20_000
+	cfg.Guard = guard.Config{Enabled: true, DeepChecks: true}
+	recs := trace.Generate(prof, 2, 3, cfg.Params, 500)
+	for _, tc := range []struct {
+		name    string
+		factory schemes.Factory
+		reject  bool
+	}{
+		{"tetris", tetris.New, true},
+		{"fnw", schemes.NewFlipNWrite, true},
+		{"threestage", schemes.NewThreeStage, true},
+		{"dcw", schemes.NewDCW, false},
+		{"conventional", schemes.NewConventional, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := map[string]func() (Result, error){
+				"run":   func() (Result, error) { return Run(prof, tc.factory, cfg) },
+				"trace": func() (Result, error) { return RunTrace("vips", recs, 2, tc.factory, cfg) },
+			}
+			for entry, run := range runs {
+				res, err := run()
+				var fe *schemes.FlipTagError
+				switch {
+				case tc.reject && !errors.As(err, &fe):
+					t.Errorf("%s: not rejected with a FlipTagError: %v", entry, err)
+				case tc.reject && (fe.Pairs != 128 || fe.LineBytes != 256):
+					t.Errorf("%s: FlipTagError reports %d pairs at %d B, want 128 at 256", entry, fe.Pairs, fe.LineBytes)
+				case !tc.reject && err != nil:
+					t.Errorf("%s: %v", entry, err)
+				case !tc.reject && (res.Ctrl.Writes == 0 || res.Guard.DeepReplays == 0):
+					t.Errorf("%s: no deep-checked writes: %+v", entry, res.Guard)
+				}
+			}
+		})
 	}
 }

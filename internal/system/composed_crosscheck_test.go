@@ -7,7 +7,6 @@ import (
 	"tetriswrite/internal/guard"
 	"tetriswrite/internal/registry"
 	"tetriswrite/internal/schemes"
-	"tetriswrite/internal/sim"
 	"tetriswrite/internal/workload"
 )
 
@@ -28,14 +27,12 @@ func composedFactory(t *testing.T, name string) schemes.Factory {
 	return e.Factory
 }
 
-// TestComposedSchemeCrossCheck extends the engine cross-check gate to
-// registry-composed schemes: over the full 8-workload sweep, each
-// composition must produce a Result bit-identical between the heap and
-// wheel engines AND bit-identical across two runs of the same engine
-// (replay determinism). The second property is what the adaptive
-// meta-scheme could most easily break — its epoch decisions read live
-// queue depths, so they must be a pure function of the simulated event
-// order, never of host scheduling.
+// TestComposedSchemeCrossCheck is the replay-determinism gate for
+// registry-composed schemes: over the full 8-workload sweep, two runs of
+// each composition must produce bit-identical Results. The adaptive
+// meta-scheme could most easily break this — its epoch decisions read
+// live queue depths, so they must be a pure function of the simulated
+// event order, never of host scheduling.
 func TestComposedSchemeCrossCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload x composed-scheme sweep")
@@ -47,25 +44,16 @@ func TestComposedSchemeCrossCheck(t *testing.T) {
 				t.Parallel()
 				factory := composedFactory(t, name)
 				cfg := Config{InstrBudget: 60_000, Seed: 7}
-				cfg.EngineQueue = sim.QueueHeap
-				heap, err := Run(prof, factory, cfg)
+				first, err := Run(prof, factory, cfg)
 				if err != nil {
 					t.Fatal(err)
-				}
-				cfg.EngineQueue = sim.QueueWheel
-				wheel, err := Run(prof, factory, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(heap, wheel) {
-					t.Errorf("heap and wheel engines diverged:\nheap:  %+v\nwheel: %+v", heap, wheel)
 				}
 				again, err := Run(prof, factory, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(wheel, again) {
-					t.Errorf("same-engine replay diverged:\nfirst:  %+v\nsecond: %+v", wheel, again)
+				if !reflect.DeepEqual(first, again) {
+					t.Errorf("replay diverged:\nfirst:  %+v\nsecond: %+v", first, again)
 				}
 			})
 		}

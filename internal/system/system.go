@@ -105,14 +105,6 @@ type Config struct {
 	// bit-identical to an unguarded one.
 	Guard guard.Config
 
-	// EngineQueue selects the event-queue implementation behind the
-	// simulation engine: sim.QueueWheel (the default, also chosen by the
-	// empty string) or sim.QueueHeap. Both pop events in the identical
-	// (time, sequence) order, so every Result is bit-identical whichever
-	// backs the run — the cross-check tests sweep both to prove it. The
-	// heap stays selectable for exactly that A/B purpose.
-	EngineQueue sim.QueueKind
-
 	// EngineMode selects serial (the default, also chosen by the empty
 	// string) or parallel execution: with sim.EngineParallel the
 	// controller plans each bank's writes on per-bank worker goroutines
@@ -403,11 +395,12 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	if verr := cfg.Params.Validate(); verr != nil {
 		return Result{}, fmt.Errorf("system: %w", verr)
 	}
-	if !cfg.EngineQueue.Valid() {
-		return Result{}, fmt.Errorf("system: unknown engine queue %q", cfg.EngineQueue)
-	}
 	if !cfg.EngineMode.Valid() {
 		return Result{}, fmt.Errorf("system: unknown engine mode %q", cfg.EngineMode)
+	}
+	sch := factory(cfg.Params)
+	if err := schemes.CheckFlipTags(sch, cfg.Params); err != nil {
+		return Result{}, fmt.Errorf("system: %w", err)
 	}
 	// The workload lays its address space out within the device, below
 	// the spare region the fault model reserves at the top.
@@ -426,8 +419,8 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 			Need: prog.AddressFootprint() + int64(cfg.Cores), Have: have}
 	}
 	cfg.Ctrl.ParallelBanks = cfg.EngineMode.Parallel()
-	eng := sim.NewEngine(cfg.EngineQueue)
-	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: prof.Name, Scheme: factory(cfg.Params).Name()}
+	eng := &sim.Engine{}
+	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: prof.Name, Scheme: sch.Name()}
 	defer recoverRun(&err, eng, fp)
 
 	dev, err := pcm.NewDevice(cfg.Params)
@@ -601,15 +594,16 @@ func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores i
 	if verr := cfg.Params.Validate(); verr != nil {
 		return Result{}, fmt.Errorf("system: %w", verr)
 	}
-	if !cfg.EngineQueue.Valid() {
-		return Result{}, fmt.Errorf("system: unknown engine queue %q", cfg.EngineQueue)
-	}
 	if !cfg.EngineMode.Valid() {
 		return Result{}, fmt.Errorf("system: unknown engine mode %q", cfg.EngineMode)
 	}
+	sch := factory(cfg.Params)
+	if err := schemes.CheckFlipTags(sch, cfg.Params); err != nil {
+		return Result{}, fmt.Errorf("system: %w", err)
+	}
 	cfg.Ctrl.ParallelBanks = cfg.EngineMode.Parallel()
-	eng := sim.NewEngine(cfg.EngineQueue)
-	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: label, Scheme: factory(cfg.Params).Name()}
+	eng := &sim.Engine{}
+	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: label, Scheme: sch.Name()}
 	defer recoverRun(&err, eng, fp)
 
 	dev, err := pcm.NewDevice(cfg.Params)

@@ -125,7 +125,7 @@ const (
 type Generator struct {
 	prof     Profile
 	core     int
-	rng      *rand.Rand
+	src      *source
 	zipfPriv *rand.Zipf
 	zipfShrd *rand.Zipf
 	prog     *Program
@@ -146,9 +146,6 @@ type Generator struct {
 	// per-unit Poisson draw — the mean is a generator constant, and
 	// math.Exp per draw was a measurable slice of full-system profiles.
 	expUnitMean float64
-	// perm is distinctBits' partial Fisher-Yates scratch; reusing it
-	// consumes the RNG identically to a fresh slice.
-	perm []int
 }
 
 // Program is one multi-threaded workload instance: a profile plus the
@@ -231,13 +228,13 @@ func (p *Program) Generator(core int) *Generator {
 	if core < 0 || core >= p.cores {
 		panic(fmt.Sprintf("workload: core %d of %d", core, p.cores))
 	}
-	rng := rand.New(rand.NewSource(p.seed*1000003 + int64(core)*7919 + 1))
+	src := newSource(p.seed*1000003 + int64(core)*7919 + 1)
 	apki := p.prof.RPKI + p.prof.WPKI
 	total := p.prof.MeanSets + p.prof.MeanResets
 	g := &Generator{
 		prof:      p.prof,
 		core:      core,
-		rng:       rng,
+		src:       src,
 		prog:      p,
 		privBase:  pcm.LineAddr(int64(core) * int64(p.prof.PrivateLines)),
 		frontier:  p.frontBase + pcm.LineAddr(core)*p.frontCap,
@@ -246,6 +243,8 @@ func (p *Program) Generator(core int) *Generator {
 		freshFrac: (p.prof.MeanSets - p.prof.MeanResets) / total,
 	}
 	g.frontEnd = g.frontier + p.frontCap
+	// The Zipf samplers read the same state through rand.Rand.
+	rng := rand.New(src)
 	g.zipfPriv = rand.NewZipf(rng, p.prof.ZipfS, 1, uint64(p.prof.PrivateLines-1))
 	g.zipfShrd = rand.NewZipf(rng, p.prof.ZipfS, 1, uint64(p.prof.SharedLines-1))
 	scale := 1 / (1 - p.prof.UntouchedUnits)
@@ -350,8 +349,8 @@ func (p *Program) InitialContentsInto(addr pcm.LineAddr, dst []byte) {
 func (g *Generator) Next() Op {
 	op := Op{Think: g.thinkGap()}
 	// Read/write mix per Table III.
-	op.Write = g.rng.Float64() < g.prof.WPKI/(g.prof.RPKI+g.prof.WPKI)
-	if op.Write && g.rng.Float64() < g.freshFrac {
+	op.Write = g.src.Float64() < g.prof.WPKI/(g.prof.RPKI+g.prof.WPKI)
+	if op.Write && g.src.Float64() < g.freshFrac {
 		op.Addr = g.allocFresh()
 		op.Data = g.freshPayload(op.Addr)
 		return op
@@ -380,13 +379,13 @@ func (g *Generator) allocFresh() pcm.LineAddr {
 // the current phase (burst or idle) while the long-run mean is
 // preserved.
 func (g *Generator) thinkGap() int64 {
-	u := g.rng.Float64()
+	u := g.src.Float64()
 	for u == 0 {
-		u = g.rng.Float64()
+		u = g.src.Float64()
 	}
 	mean := g.meanGap
 	if b := g.prof.Burstiness; b > 0 {
-		if g.rng.Float64() < 0.05 {
+		if g.src.Float64() < 0.05 {
 			g.inBurst = !g.inBurst
 		}
 		if g.inBurst {
@@ -405,7 +404,7 @@ func (g *Generator) thinkGap() int64 {
 // pickAddr draws the target line: shared region with probability Sharing,
 // else the core's private region; Zipf-ranked within the region.
 func (g *Generator) pickAddr() pcm.LineAddr {
-	if g.rng.Float64() < g.prof.Sharing {
+	if g.src.Float64() < g.prof.Sharing {
 		return g.prog.shrdBase + pcm.LineAddr(g.zipfShrd.Uint64())
 	}
 	return g.privBase + pcm.LineAddr(g.zipfPriv.Uint64())
@@ -417,42 +416,15 @@ func (g *Generator) pickAddr() pcm.LineAddr {
 func (g *Generator) freshPayload(addr pcm.LineAddr) []byte {
 	words := g.prog.shadowWords(addr)
 	for u := 0; u < g.lineLen/8; u++ {
-		if g.rng.Float64() < g.prof.UntouchedUnits {
+		if g.src.Float64() < g.prof.UntouchedUnits {
 			continue
 		}
-		n := g.poissonL(g.expUnitMean)
 		// Bit b of the 64-bit unit is bit b of the little-endian word.
-		for _, b := range g.distinctBits(n, 64) {
-			words[u] |= 1 << b
-		}
+		words[u] |= g.flipMask(g.poissonL(g.expUnitMean))
 	}
 	out := make([]byte, g.lineLen)
 	linestore.UnpackLine(out, words)
 	return out
-}
-
-// distinctBits samples n distinct bit positions in [0, width) by partial
-// Fisher-Yates, so a unit's mutation changes exactly n cells (sampling
-// with replacement would silently undershoot through collisions).
-func (g *Generator) distinctBits(n, width int) []int {
-	if n > width {
-		n = width
-	}
-	if n == 0 {
-		return nil
-	}
-	if cap(g.perm) < width {
-		g.perm = make([]int, width)
-	}
-	perm := g.perm[:width]
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := 0; i < n; i++ {
-		j := i + g.rng.Intn(width-i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm[:n]
 }
 
 // mutateResident toggles bits of a resident line's shadow: per data unit,
@@ -463,13 +435,10 @@ func (g *Generator) distinctBits(n, width int) []int {
 func (g *Generator) mutateResident(addr pcm.LineAddr) []byte {
 	words := g.prog.shadowWords(addr)
 	for u := 0; u < g.lineLen/8; u++ {
-		if g.rng.Float64() < g.prof.UntouchedUnits {
+		if g.src.Float64() < g.prof.UntouchedUnits {
 			continue
 		}
-		n := g.poissonL(g.expUnitMean)
-		for _, b := range g.distinctBits(n, 64) {
-			words[u] ^= 1 << b
-		}
+		words[u] ^= g.flipMask(g.poissonL(g.expUnitMean))
 	}
 	out := make([]byte, g.lineLen)
 	linestore.UnpackLine(out, words)
@@ -487,7 +456,7 @@ func (g *Generator) poissonL(l float64) int {
 	k := 0
 	p := 1.0
 	for {
-		p *= g.rng.Float64()
+		p *= g.src.Float64()
 		if p <= l {
 			return k
 		}

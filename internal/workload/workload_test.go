@@ -312,17 +312,6 @@ func TestGeneratorPanicsOnBadCore(t *testing.T) {
 	prog.Generator(2)
 }
 
-func BenchmarkGeneratorNext(b *testing.B) {
-	par := pcm.DefaultParams()
-	prof, _ := ProfileByName("vips")
-	prog := NewProgram(prof, 4, 1, par)
-	g := prog.Generator(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = g.Next()
-	}
-}
-
 // TestBurstiness: the two-phase modulation must preserve the mean access
 // rate while inflating gap variance.
 func TestBurstiness(t *testing.T) {
