@@ -255,6 +255,9 @@ func (b *Broker) JournalPath() string { return b.journal.Path() }
 // whose fingerprints are already in the completed-shard cache are
 // satisfied immediately without touching a worker.
 func (b *Broker) Submit(spec SweepSpec) (string, error) {
+	if spec.LegacyEngine != "" {
+		return "", fmt.Errorf("fleet: engine %q: the event-queue selector is retired", spec.LegacyEngine)
+	}
 	if err := spec.Normalize(); err != nil {
 		return "", err
 	}
@@ -707,17 +710,22 @@ func (b *Broker) replayLocked(recs []Record) {
 			if rec.Result == nil {
 				continue
 			}
-			b.cache[rec.Result.Fp] = *rec.Result
+			res := *rec.Result
 			j, ok := b.jobs[rec.Job]
 			if !ok || rec.Shard < 0 || rec.Shard >= len(j.shards) {
+				b.cache[res.Fp] = res
 				continue
 			}
 			sh := j.shards[rec.Shard]
-			if sh.fp != rec.Result.Fp || sh.state == shardDone {
+			if sh.spec.isLegacyFingerprint(res.Fp) {
+				res.Fp = sh.fp
+			}
+			b.cache[res.Fp] = res
+			if sh.fp != res.Fp || sh.state == shardDone {
 				continue
 			}
 			sh.state = shardDone
-			sh.result = *rec.Result
+			sh.result = res
 			j.restored++
 		case "done":
 			if j, ok := b.jobs[rec.Job]; ok && j.state == JobRunning {

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"tetriswrite/internal/system"
 )
@@ -203,6 +205,66 @@ func TestJournalLegacyRecordsAccepted(t *testing.T) {
 	defer j.Close()
 	if len(recs) != 2 {
 		t.Fatalf("replayed %d legacy records, want 2", len(recs))
+	}
+}
+
+// TestJournalReplaysV2Journal: testdata/journal_v2.jsonl was written by
+// a broker whose specs still carried the event-queue selector ("engine")
+// under fingerprint v2 — a completed two-shard job and a running job
+// with one of its two shards done. The checksummed records must replay,
+// the completed job must render from its journaled results (which equal
+// a fresh run), the running job must resume with only its missing shard
+// re-issued, and the restored results must answer a resubmission.
+func TestJournalReplaysV2Journal(t *testing.T) {
+	raw, err := os.ReadFile("testdata/journal_v2.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("v2 journal rejected: %v", err)
+	}
+	j.Close()
+	if len(recs) != 6 || recs[0].Spec == nil || recs[0].Spec.LegacyEngine != "wheel" {
+		t.Fatalf("replayed %d records, first spec %+v; want 6 with engine wheel", len(recs), recs[0].Spec)
+	}
+
+	clk := newFakeClock()
+	b, err := New(Config{JournalPath: path, LeaseTTL: time.Second, Now: clk.Now})
+	if err != nil {
+		t.Fatalf("broker on a v2 journal: %v", err)
+	}
+	defer b.Close()
+	st, _ := b.Status("j0000")
+	if st.State != string(JobCompleted) || st.Shards.Done != 2 || st.Spec.LegacyEngine != "" {
+		t.Fatalf("completed v2 job: %+v", st)
+	}
+	for _, sh := range b.jobs["j0000"].shards {
+		fresh, err := RunShard(context.Background(), sh.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.result.Fp != sh.fp || sh.result.Summary != fresh {
+			t.Errorf("%s: restored %+v, fresh run %+v (fp %s)", sh.spec, sh.result, fresh, sh.fp)
+		}
+	}
+	if st, _ := b.Status("j0001"); st.State != string(JobRunning) || st.Shards.Restored != 1 || st.Shards.Pending != 1 {
+		t.Fatalf("running v2 job: %+v", st)
+	}
+
+	id, err := b.Submit(SweepSpec{Workloads: []string{"vips"}, Schemes: []string{"dcw", "tetris"}, Instr: 2000, Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := b.Status(id); st.State != string(JobCompleted) || st.Shards.Cached != 2 {
+		t.Fatalf("resubmission of the v2 job not served from cache: %+v", st)
+	}
+	if _, err := b.Submit(SweepSpec{LegacyEngine: "heap"}); err == nil {
+		t.Error("spec carrying the retired engine selector accepted")
 	}
 }
 
