@@ -5,10 +5,9 @@ FUZZTIME ?= 10s
 # The gated hot-path benchmarks: per-write planning cost over a captured
 # vips write stream (base and registry-composed schemes) and on a dense
 # all-cells-change write, one full system simulation end to end, the
-# serial-vs-parallel engine-mode comparison across bank counts, the
 # event heap on long traces across pending populations, and the workload
 # generator on vips and canneal. CI reads this list via `make benchfilter`.
-BENCHFILTER ?= BenchmarkSchemePlanStream|BenchmarkComposedSchemePlanStream|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkFullSystemParallel|BenchmarkEngineLongTrace|BenchmarkGeneratorNext
+BENCHFILTER ?= BenchmarkSchemePlanStream|BenchmarkComposedSchemePlanStream|BenchmarkSchemePlanWriteDense|BenchmarkArrayFlipCount|BenchmarkCacheHit|BenchmarkFullSystemSingle|BenchmarkEngineLongTrace|BenchmarkGeneratorNext
 BENCHCOUNT ?= 3
 
 # Build stamping for `<binary> -version`: ldflags override the

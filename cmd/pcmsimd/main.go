@@ -48,7 +48,17 @@ func main() {
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+// options is pcmsimd's validated command line.
+type options struct {
+	rpcAddr, httpAddr string
+	drainTimeout      time.Duration
+	showVersion       bool
+	broker            fleet.Config // Logf is left for run to set
+}
+
+// parseFlags parses and validates the command line. With -version it
+// returns at once and skips the remaining checks.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("pcmsimd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -59,29 +69,56 @@ func run(args []string, stdout, stderr io.Writer) error {
 		poll     = fs.Duration("poll", 200*time.Millisecond, "idle poll interval dictated to workers")
 		backoff  = fs.Duration("backoff", 500*time.Millisecond, "base shard retry backoff")
 		maxBack  = fs.Duration("max-backoff", 10*time.Second, "shard retry backoff cap")
-		jitter   = fs.Float64("jitter", 0.2, "shard retry jitter fraction (0..1)")
+		jitter   = fs.Float64("jitter", 0.2, "shard retry jitter fraction (0..1; 0 retries at exactly the backoff)")
 		drainTO  = fs.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for running jobs before exiting anyway")
 		showVer  = fs.Bool("version", false, "print build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
 	}
-	if *showVer {
-		fmt.Fprintln(stdout, version.String("pcmsimd"))
-		return nil
+	opt := options{rpcAddr: *rpcAddr, httpAddr: *httpAddr, drainTimeout: *drainTO, showVersion: *showVer}
+	if opt.showVersion {
+		return opt, nil
+	}
+	for _, d := range []struct {
+		flag string
+		v    time.Duration
+	}{{"lease", *lease}, {"poll", *poll}, {"backoff", *backoff}, {"max-backoff", *maxBack}} {
+		if d.v <= 0 {
+			return options{}, fmt.Errorf("-%s %v: want > 0", d.flag, d.v)
+		}
+	}
+	if *maxBack < *backoff {
+		return options{}, fmt.Errorf("-max-backoff %v: below -backoff %v", *maxBack, *backoff)
 	}
 	if *jitter < 0 || *jitter > 1 {
-		return fmt.Errorf("-jitter %v: want 0..1", *jitter)
+		return options{}, fmt.Errorf("-jitter %v: want 0..1", *jitter)
 	}
-
-	logger := log.New(stderr, "pcmsimd: ", log.LstdFlags|log.Lmsgprefix)
-	broker, err := fleet.New(fleet.Config{
+	if *drainTO < 0 {
+		return options{}, fmt.Errorf("-drain-timeout %v: cannot be negative", *drainTO)
+	}
+	opt.broker = fleet.Config{
 		LeaseTTL:    *lease,
 		Poll:        *poll,
 		Retry:       runner.Backoff{Base: *backoff, Max: *maxBack, Jitter: *jitter},
 		JournalPath: *journal,
-		Logf:        logger.Printf,
-	})
+	}
+	return opt, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	opt, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	if opt.showVersion {
+		fmt.Fprintln(stdout, version.String("pcmsimd"))
+		return nil
+	}
+
+	logger := log.New(stderr, "pcmsimd: ", log.LstdFlags|log.Lmsgprefix)
+	opt.broker.Logf = logger.Printf
+	broker, err := fleet.New(opt.broker)
 	if err != nil {
 		return err
 	}
@@ -91,21 +128,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := rpcSrv.RegisterName(fleet.RPCService, broker.RPC()); err != nil {
 		return err
 	}
-	rpcLn, err := net.Listen("tcp", *rpcAddr)
+	rpcLn, err := net.Listen("tcp", opt.rpcAddr)
 	if err != nil {
 		return err
 	}
 	defer rpcLn.Close()
 	go acceptRPC(rpcSrv, rpcLn)
 
-	httpSrv := &http.Server{Addr: *httpAddr, Handler: broker.Handler()}
-	httpLn, err := net.Listen("tcp", *httpAddr)
+	httpSrv := &http.Server{Addr: opt.httpAddr, Handler: broker.Handler()}
+	httpLn, err := net.Listen("tcp", opt.httpAddr)
 	if err != nil {
 		return err
 	}
 	logger.Printf("%s", version.String("pcmsimd"))
 	logger.Printf("serving: workers rpc=%s, clients http=%s, journal=%s",
-		rpcLn.Addr(), httpLn.Addr(), *journal)
+		rpcLn.Addr(), httpLn.Addr(), opt.broker.JournalPath)
 	go httpSrv.Serve(httpLn)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -113,8 +150,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	<-ctx.Done()
 	stop()
 
-	logger.Printf("signal received: draining (up to %v)", *drainTO)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
+	logger.Printf("signal received: draining (up to %v)", opt.drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), opt.drainTimeout)
 	defer cancel()
 	if err := broker.Drain(drainCtx); err != nil {
 		logger.Printf("%v", err)

@@ -36,7 +36,15 @@ func main() {
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+// options is pcmsimw's validated command line.
+type options struct {
+	showVersion bool
+	worker      fleet.WorkerConfig // Logf is left for run to set
+}
+
+// parseFlags parses and validates the command line. With -version it
+// returns at once and skips the remaining checks.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("pcmsimw", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	host, _ := os.Hostname()
@@ -50,25 +58,42 @@ func run(args []string, stdout, stderr io.Writer) error {
 		showVer = fs.Bool("version", false, "print build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
 	}
 	if *showVer {
-		fmt.Fprintln(stdout, version.String("pcmsimw"))
-		return nil
+		return options{showVersion: true}, nil
+	}
+	if *broker == "" {
+		return options{}, fmt.Errorf("-broker: want a host:port address, got empty")
+	}
+	if *name == "" {
+		return options{}, fmt.Errorf("-name: want a non-empty worker name")
 	}
 	if *slots <= 0 {
-		return fmt.Errorf("-slots %d: want >= 1", *slots)
+		return options{}, fmt.Errorf("-slots %d: want >= 1", *slots)
 	}
-
-	logger := log.New(stderr, "pcmsimw: ", log.LstdFlags|log.Lmsgprefix)
-	logger.Printf("%s", version.String("pcmsimw"))
-	w := fleet.NewWorker(fleet.WorkerConfig{
+	return options{worker: fleet.WorkerConfig{
 		Broker:  *broker,
 		Name:    *name,
 		Slots:   *slots,
 		Version: version.String("pcmsimw"),
-		Logf:    logger.Printf,
-	})
+	}}, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	opt, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	if opt.showVersion {
+		fmt.Fprintln(stdout, version.String("pcmsimw"))
+		return nil
+	}
+
+	logger := log.New(stderr, "pcmsimw: ", log.LstdFlags|log.Lmsgprefix)
+	logger.Printf("%s", version.String("pcmsimw"))
+	opt.worker.Logf = logger.Printf
+	w := fleet.NewWorker(opt.worker)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return w.Run(ctx)

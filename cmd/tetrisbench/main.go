@@ -34,7 +34,6 @@ import (
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/prof"
 	"tetriswrite/internal/schemes"
-	"tetriswrite/internal/sim"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/units"
 	"tetriswrite/internal/version"
@@ -62,10 +61,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		instr      = fs.Int64("instr", 1_000_000, "per-core instruction budget (figures 11-14)")
 		cores      = fs.Int("cores", 4, "number of cores")
 		seed       = fs.Int64("seed", 1, "workload seed")
-		seq        = fs.Bool("sequential", false, "disable parallel simulation")
 		par        = fs.Int("parallel", 0, "concurrent full-system simulations (0 = all CPUs; tables are bit-identical at any value)")
 		runTO      = fs.Duration("run-timeout", 0, "wall-clock limit per full-system simulation, e.g. 5m (0 = none)")
-		engineMode = fs.String("engine-mode", "", "execution mode: serial (default) or parallel (per-bank planning workers); tables are bit-identical")
 		schemeList = fs.String("schemes", "", "comma-separated scheme names for the full-system figures (registry names, composable with +, e.g. baseline,tetris,dcw+flipmin,adaptive); empty = the paper set; the first is the normalization baseline")
 		energy     = fs.Bool("energy", false, "also print the energy-per-write table with the full-system figures")
 		sweep      = fs.String("sweep", "", "extra sweep beyond the paper: 'line' (64/128/256 B) or 'budget' (32..4)")
@@ -112,18 +109,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	if *runTO < 0 {
 		return fmt.Errorf("-run-timeout %v: cannot be negative", *runTO)
 	}
-	if !sim.EngineMode(*engineMode).Valid() {
-		return fmt.Errorf("-engine-mode %q: want serial or parallel", *engineMode)
-	}
 	opt := exp.Options{
 		Writes:      *writes,
 		InstrBudget: *instr,
 		Cores:       *cores,
 		Seed:        *seed,
-		Sequential:  *seq,
 		Parallel:    *par,
 		RunTimeout:  *runTO,
-		EngineMode:  sim.EngineMode(*engineMode),
 	}
 	if *schemeList != "" {
 		for _, n := range strings.Split(*schemeList, ",") {

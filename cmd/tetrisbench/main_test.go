@@ -250,27 +250,6 @@ func TestIdenticalFlagsGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestEngineModeFlag: -engine-mode parallel renders byte-identical
-// tables to the serial default, and unknown modes are rejected before
-// any simulation work.
-func TestEngineModeFlag(t *testing.T) {
-	args := []string{"-fig", "13", "-instr", "10000", "-writes", "50"}
-	var serial, parallel, errb bytes.Buffer
-	if err := run(context.Background(), append(args, "-engine-mode", "serial"), &serial, &errb); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), append(args, "-engine-mode", "parallel"), &parallel, &errb); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 || serial.String() != parallel.String() {
-		t.Errorf("-engine-mode parallel output differs from serial:\nserial:\n%s\nparallel:\n%s",
-			serial.String(), parallel.String())
-	}
-	if err := run(context.Background(), []string{"-fig", "13", "-engine-mode", "turbo"}, &serial, &errb); err == nil {
-		t.Fatal("unknown -engine-mode accepted")
-	}
-}
-
 // TestCancelledSweepRendersPartials: a pre-cancelled context fails the
 // sweep but still reports how many cells finished.
 func TestCancelledSweepRendersPartials(t *testing.T) {

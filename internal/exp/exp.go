@@ -17,7 +17,6 @@ import (
 	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/runner"
 	"tetriswrite/internal/schemes"
-	"tetriswrite/internal/sim"
 	"tetriswrite/internal/stats"
 	"tetriswrite/internal/system"
 	"tetriswrite/internal/tetris"
@@ -62,9 +61,6 @@ type Options struct {
 	InstrBudget int64
 	Cores       int
 	Seed        int64
-	// Sequential forces full-system simulations to run one at a time
-	// (results are deterministic either way); equivalent to Parallel: 1.
-	Sequential bool
 	// Parallel is the number of concurrent full-system simulations;
 	// 0 means GOMAXPROCS. Every cell owns its seeded state, so any
 	// degree of parallelism produces bit-identical tables.
@@ -84,10 +80,6 @@ type Options struct {
 	// full-system run; a violation aborts that cell and surfaces in
 	// FullResults.Errs.
 	Guard guard.Config
-	// EngineMode selects serial or parallel (per-bank worker) execution
-	// for every full-system cell. Results are bit-identical either way;
-	// parallel trades goroutine overhead for off-thread write planning.
-	EngineMode sim.EngineMode
 }
 
 // Normalize fills defaults.
@@ -286,14 +278,10 @@ func (fr *FullResults) Failed() int {
 
 // workers resolves the configured degree of parallelism.
 func (o Options) workers() int {
-	switch {
-	case o.Sequential:
-		return 1
-	case o.Parallel > 0:
+	if o.Parallel > 0 {
 		return o.Parallel
-	default:
-		return runtime.GOMAXPROCS(0)
 	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // RunFullSystem simulates all 8 workloads under all 5 schemes — the
@@ -344,7 +332,6 @@ func RunFullSystemCtx(ctx context.Context, opt Options) (*FullResults, error) {
 						Ctrl:        memctrl.Config{},
 						Epoch:       opt.Epoch,
 						Guard:       opt.Guard,
-						EngineMode:  opt.EngineMode,
 					}
 					return system.RunCtx(ctx, fr.Profiles[w], fr.Schemes[s].Factory, cfg)
 				},

@@ -16,12 +16,11 @@ import (
 func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 	opt := fastOptions()
 	opt.InstrBudget = 10_000
-	opt.Sequential = true
+	opt.Parallel = 1
 	serial, err := RunFullSystem(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Sequential = false
 	opt.Parallel = 4
 	par, err := RunFullSystemCtx(context.Background(), opt)
 	if err != nil {
@@ -49,7 +48,7 @@ func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 func TestSweepCancellationKeepsPartials(t *testing.T) {
 	opt := fastOptions()
 	opt.InstrBudget = 10_000
-	opt.Sequential = true
+	opt.Parallel = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cancel()

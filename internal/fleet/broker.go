@@ -28,7 +28,9 @@ type Config struct {
 	// calls. Default 200ms.
 	Poll time.Duration
 	// Retry paces shard re-issues after a failure or lease expiry.
-	// Defaults: Base 500ms, Max 10s, Jitter 0.2. The per-shard seed is
+	// Base <= 0 means 500ms and Max <= 0 means 10s. Jitter is taken as
+	// given (0 retries at exactly the backoff) unless Retry is left
+	// entirely zero, which selects Jitter 0.2. The per-shard seed is
 	// derived from the shard fingerprint, so schedules are reproducible
 	// yet decorrelated across the shards a dead worker returns at once.
 	Retry runner.Backoff
@@ -46,6 +48,9 @@ type Config struct {
 }
 
 func (c *Config) normalize() {
+	if c.Retry == (runner.Backoff{}) {
+		c.Retry.Jitter = 0.2
+	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 5 * time.Second
 	}
@@ -60,9 +65,6 @@ func (c *Config) normalize() {
 	}
 	if c.Retry.Max <= 0 {
 		c.Retry.Max = 10 * time.Second
-	}
-	if c.Retry.Jitter == 0 {
-		c.Retry.Jitter = 0.2
 	}
 	if c.Now == nil {
 		c.Now = time.Now

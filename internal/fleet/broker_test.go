@@ -300,6 +300,56 @@ func TestRetryBudgetExhaustionFailsJob(t *testing.T) {
 	// No lease outstanding at failure time, so no cancel needed — fine too.
 }
 
+// TestZeroJitterRetriesAtExactBackoff: Retry.Jitter 0 (pcmsimd -jitter
+// 0) means no jitter, so every failed shard becomes eligible exactly
+// Base after its failure; only an entirely unset Retry picks the
+// default jitter.
+func TestZeroJitterRetriesAtExactBackoff(t *testing.T) {
+	clk := newFakeClock()
+	b, err := New(Config{
+		LeaseTTL: time.Second,
+		Retry:    runner.Backoff{Base: 10 * time.Millisecond, Max: 40 * time.Millisecond},
+		Now:      clk.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Submit(smallSpec())
+	wid := register(t, b, "unit")
+	for i := 0; i < 2; i++ {
+		a, found := lease(t, b, wid)
+		if !found {
+			t.Fatalf("no lease for shard %d", i)
+		}
+		err := b.RPC().Complete(&CompleteArgs{
+			WorkerID: wid, Job: a.Job, Shard: a.Shard, Attempt: a.Attempt, Err: "simulated fault",
+		}, &CompleteReply{})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(10*time.Millisecond - time.Nanosecond)
+	if a, found := lease(t, b, wid); found {
+		t.Fatalf("shard %d leased before its backoff elapsed (jitter applied)", a.Shard)
+	}
+	clk.Advance(time.Nanosecond)
+	for i := 0; i < 2; i++ {
+		if _, found := lease(t, b, wid); !found {
+			t.Fatalf("only %d of 2 shards eligible exactly at the backoff (jitter applied)", i)
+		}
+	}
+
+	def, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer def.Close()
+	if got := def.cfg.Retry; got.Jitter != 0.2 || got.Base != 500*time.Millisecond || got.Max != 10*time.Second {
+		t.Errorf("unset Retry normalized to %+v, want Base 500ms, Max 10s, Jitter 0.2", got)
+	}
+}
+
 // TestDuplicateCompletionMismatchIsDeterminismViolation: a duplicated
 // completion that disagrees with the recorded result must fail the job
 // loudly — it means the "pure function of the spec" contract broke.

@@ -11,16 +11,14 @@ import (
 
 // oracleEvent is the order oracle's record of one scheduled event.
 type oracleEvent struct {
-	at    units.Time
-	seq   uint64
-	id    int
-	final units.Time // lazy events: the time resolve reports
-	lazy  bool       // still unresolved (AtLazy)
+	at  units.Time
+	seq uint64
+	id  int
 }
 
 // orderRun drives an engine through a seeded random schedule while an
 // oracle — a plain slice sorted by (at, seq) before every pop — predicts
-// which event each resolver and callback must belong to. The checks
+// which event each callback must belong to. The checks
 // live inside the callbacks, so Step, Run and RunUntil are all held to
 // the oracle.
 type orderRun struct {
@@ -46,8 +44,7 @@ func (r *orderRun) head(id int, what string) *oracleEvent {
 	return &r.pending[0]
 }
 
-// schedule queues one event d after now, as a plain At, an AtLazy that
-// resolves later than its bound, or an AtLazy that resolves at it.
+// schedule queues one event d after now.
 func (r *orderRun) schedule(d units.Duration) {
 	if r.nextID >= r.limit {
 		return
@@ -66,26 +63,7 @@ func (r *orderRun) schedule(d units.Duration) {
 		r.ran++
 		r.followUps()
 	}
-	switch r.rng.Intn(5) {
-	case 0:
-		ev.lazy, ev.final = true, at.Add(units.Duration(1+r.rng.Intn(40)))
-	case 1:
-		ev.lazy, ev.final = true, at
-	}
-	if ev.lazy {
-		final := ev.final
-		r.e.AtLazy(at, func() (units.Time, func()) {
-			h := r.head(id, "resolved")
-			if !h.lazy {
-				r.t.Fatalf("event %d resolved twice", id)
-			}
-			h.lazy = false
-			h.at = final // re-queued under its seq when later than the bound
-			return final, body
-		})
-	} else {
-		r.e.At(at, body)
-	}
+	r.e.At(at, body)
 	r.pending = append(r.pending, ev)
 }
 
@@ -130,9 +108,8 @@ func (r *orderRun) checkPending() {
 
 // TestEngineMatchesOrderOracle checks the engine's pop order against a
 // sort-by-(at, seq) oracle over random interleavings of pushes from
-// outside, single Steps and RunUntil windows, with same-time ties,
-// zero-delay self-rescheduling and lazy events resolved both later than
-// and equal to their bounds.
+// outside, single Steps and RunUntil windows, with same-time ties and
+// zero-delay self-rescheduling.
 func TestEngineMatchesOrderOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		r := &orderRun{t: t, rng: rand.New(rand.NewSource(seed)), e: &Engine{}, limit: 5000}

@@ -101,13 +101,7 @@ func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
 	if wd.MaxSimTime > 0 {
 		deadline = e.now.Add(wd.MaxSimTime)
 	}
-	// Count executed events as a delta of the engine's processed counter
-	// rather than counting Step calls: a Step that merely resolves a lazy
-	// event (AtLazy re-queue) does not advance e.events, so budgets,
-	// heartbeats and cancellation polls fire at exactly the same points
-	// whether or not lazy events are in play.
-	start := e.events
-	var lastBeat uint64
+	var executed uint64
 	for {
 		if e.stopErr != nil {
 			return e.stopErr
@@ -116,7 +110,6 @@ func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
 			return nil
 		}
 		at := e.q[0].at
-		executed := e.events - start
 		if wd.MaxEvents > 0 && executed >= wd.MaxEvents {
 			return &BudgetError{Events: executed, MaxEvents: wd.MaxEvents, Now: e.now}
 		}
@@ -124,9 +117,8 @@ func (e *Engine) RunContext(ctx context.Context, wd Watchdog) error {
 			return &BudgetError{Events: executed, Now: e.now, Deadline: deadline, SimTime: true}
 		}
 		e.Step()
-		executed = e.events - start
-		if executed != lastBeat && executed%checkEvery == 0 {
-			lastBeat = executed
+		executed++
+		if executed%checkEvery == 0 {
 			if wd.Heartbeat != nil {
 				wd.Heartbeat(Progress{Events: executed, Now: e.now, Pending: len(e.q)})
 			}

@@ -27,7 +27,6 @@ type flipScheme interface {
 	schemes.TagRestorer
 	schemes.TornStateClassifier
 	schemes.PlanRecycler
-	schemes.ServiceFloorer
 }
 
 // reversedScheme hands the controller every plan with its pulses in

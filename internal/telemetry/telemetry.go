@@ -217,9 +217,8 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 //
 // Closures reading single-writer simulation state (scheme statistics,
 // controller counters — plain fields, not atomics, by design) stay
-// race-free because the sampler's preSample hook quiesces the parallel
-// controller's bank workers before any closure runs; see
-// Sampler.OnSample. The direct Counter/Gauge types use single atomic
+// race-free because they run on the goroutine that owns that state.
+// The direct Counter/Gauge types use single atomic
 // words (no striping) — per-run metric rates are far below contention
 // territory, and a torn read would be a correctness bug, not just noise.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {

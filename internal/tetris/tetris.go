@@ -92,18 +92,6 @@ func (s *scheme) FlipTags(addr pcm.LineAddr) uint64 {
 }
 func (s *scheme) NeedsReadBeforeWrite() bool { return true }
 
-// ServiceFloor implements schemes.ServiceFloorer. Tetris compresses the
-// write phase by content, so only the fixed read and analysis stages —
-// plus one minimum-length pulse when the line changes — can be promised
-// ahead of planning.
-func (s *scheme) ServiceFloor(changed bool) units.Duration {
-	f := s.par.TRead + s.par.MemClock.Cycles(int64(s.opt.AnalysisCycles))
-	if changed {
-		f += s.par.TReset
-	}
-	return f
-}
-
 func (s *scheme) flipBit(c, u int) uint64 { return 1 << uint(u*s.par.NumChips+c) }
 
 func (s *scheme) PlanWrite(addr pcm.LineAddr, old, new []byte) schemes.Plan {
