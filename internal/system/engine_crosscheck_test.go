@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/tetris"
 	"tetriswrite/internal/workload"
 )
@@ -14,10 +15,37 @@ import (
 // cross-check. The committed rows were recorded when the engine still
 // carried two queue implementations, a binary heap and a timing wheel,
 // and both produced every row bit for bit. An intended change to model
-// behaviour regenerates them from the current code with
+// behaviour regenerates them, and engineModePath's rows, from the
+// current code with
 //
-//	go test ./internal/system -run 'TestGoldenDigests|TestEngineQueueCrossCheck' -update
+//	go test ./internal/system -run 'TestGoldenDigests|TestEngineQueueCrossCheck|TestEngineModeCrossCheck' -update
 const engineQueuePath = "testdata/engine_queue_digests.json"
+
+// engineModePath holds one digest row per cell of the engine-mode
+// cross-check. The committed rows were recorded when the simulator still
+// carried a second, per-bank parallel planning engine next to the serial
+// one, and both produced every row bit for bit.
+const engineModePath = "testdata/engine_mode_digests.json"
+
+// engineModeNames is the composition set the engine-mode sweep covers:
+// every base scheme plus one instance of each decorator and the adaptive
+// meta-scheme.
+var engineModeNames = []string{
+	"conventional", "dcw", "fnw", "twostage", "threestage", "tetris",
+	"dcw+flipmin", "dcw+remap", "tetris+remap", "dcw+mlc", "adaptive",
+}
+
+// sweepFactory resolves a base scheme under the package's sweep names
+// and anything else through the registry.
+func sweepFactory(t *testing.T, name string) schemes.Factory {
+	t.Helper()
+	for _, s := range goldenSchemes {
+		if s.name == name {
+			return s.factory
+		}
+	}
+	return composedFactory(t, name)
+}
 
 // TestEngineQueueCrossCheck is the full-system gate for the engine's
 // event queue: over the 8-workload sweep and every write scheme, at 60k
@@ -30,17 +58,44 @@ func TestEngineQueueCrossCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload x scheme sweep")
 	}
+	names := make([]string, len(goldenSchemes))
+	for i, s := range goldenSchemes {
+		names[i] = s.name
+	}
+	checkSweepDigests(t, engineQueuePath, names)
+}
+
+// TestEngineModeCrossCheck extends the same gate to the scheme
+// compositions: over the 8-workload sweep and every name in
+// engineModeNames, at 60k instructions per core and seed 7, every run
+// must reproduce its digest in testdata/engine_mode_digests.json — the
+// Result the serial and the per-bank parallel engine agreed on before
+// the parallel engine was removed. A composition whose decorator or
+// adaptive epoch logic starts to depend on anything but the simulated
+// event order moves its digest.
+func TestEngineModeCrossCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full workload x scheme composition sweep")
+	}
+	checkSweepDigests(t, engineModePath, engineModeNames)
+}
+
+// checkSweepDigests runs every workload profile under each named scheme
+// at 60k instructions per core and seed 7, one subtest per cell named
+// workload/scheme, and compares each cell's digest with its row in path.
+// With -update it rewrites path from the current code instead.
+func checkSweepDigests(t *testing.T, path string, names []string) {
 	want := map[string]goldenRow{}
 	if !*updateGolden {
-		raw, err := os.ReadFile(engineQueuePath)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%v (regenerate with -update)", err)
 		}
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(workload.Profiles()) * len(goldenSchemes); len(want) != n {
-			t.Errorf("%s has %d rows, want one per cell (%d)", engineQueuePath, len(want), n)
+		if n := len(workload.Profiles()) * len(names); len(want) != n {
+			t.Errorf("%s has %d rows, want one per cell (%d)", path, len(want), n)
 		}
 	}
 	var mu sync.Mutex
@@ -53,17 +108,17 @@ func TestEngineQueueCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(engineQueuePath, append(enc, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	})
 	for _, prof := range workload.Profiles() {
-		for _, s := range goldenSchemes {
-			name := prof.Name + "/" + s.name
+		for _, scheme := range names {
+			name := prof.Name + "/" + scheme
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				cfg := Config{InstrBudget: 60_000, Seed: 7}
-				res, err := Run(prof, s.factory, cfg)
+				res, err := Run(prof, sweepFactory(t, scheme), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
