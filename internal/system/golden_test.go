@@ -1,6 +1,7 @@
 package system
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"tetriswrite/internal/crash"
+	"tetriswrite/internal/fault"
 	"tetriswrite/internal/guard"
 	"tetriswrite/internal/memctrl"
 	"tetriswrite/internal/pcm"
@@ -238,6 +240,38 @@ func goldenCells(t *testing.T) []goldenCell {
 		return resultRow(t, res, cfg.Seed)
 	}})
 
+	cells = append(cells, goldenCell{"corners/trace+faults", func(t *testing.T) goldenRow {
+		recs := trace.Generate(vips, 2, 3, pcm.DefaultParams(), 4000)
+		cfg := Config{InstrBudget: 100_000, Fault: fault.Config{TransientRate: 0.01, Seed: 3}}
+		res, err := RunTrace("vips", recs, 2, tetris.New, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultRow(t, res, cfg.Seed)
+	}})
+	cells = append(cells, goldenCell{"corners/trace+epoch", func(t *testing.T) goldenRow {
+		recs := trace.Generate(vips, 2, 3, pcm.DefaultParams(), 4000)
+		cfg := Config{InstrBudget: 100_000, Epoch: 10 * units.Microsecond}
+		res, err := RunTrace("vips", recs, 2, schemes.NewDCW, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var epochs bytes.Buffer
+		if err := res.Telemetry.WriteJSONLines(&epochs); err != nil {
+			t.Fatal(err)
+		}
+		return resultRow(t, res, cfg.Seed, res.Telemetry.SeriesNames(), epochs.String())
+	}})
+	cells = append(cells, goldenCell{"corners/trace+guard", func(t *testing.T) goldenRow {
+		recs := trace.Generate(vips, 2, 3, pcm.DefaultParams(), 4000)
+		cfg := Config{InstrBudget: 100_000, Guard: guard.Config{Enabled: true, DeepChecks: true}}
+		res, err := RunTrace("vips", recs, 2, tetris.New, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultRow(t, res, cfg.Seed, res.Guard)
+	}})
+
 	cells = append(cells, goldenCell{"corners/crash-recover-resume", func(t *testing.T) goldenRow {
 		return crashRow(t, vips)
 	}})
@@ -314,9 +348,10 @@ func crashRow(t *testing.T, prof workload.Profile) goldenRow {
 // — the 8 workloads under the paper's schemes, the registry
 // compositions on vips and canneal, and the caches, PreSET, fault,
 // wear-levelling, pausing, subarray, 128 B line, guard, trace-replay
-// and crash-recover-resume corners — must reproduce its committed
-// digest. An intended change to model behaviour shows up as a diff of
-// testdata/golden_digests.json, regenerated with
+// (plain, cached, faulty, sampled and guarded) and crash-recover-resume
+// corners — must reproduce its committed digest. An intended change to
+// model behaviour shows up as a diff of testdata/golden_digests.json,
+// regenerated with
 //
 //	go test ./internal/system -run TestGoldenDigests -update
 func TestGoldenDigests(t *testing.T) {
