@@ -47,12 +47,17 @@ fuzz-smoke:
 
 # Run the gated benchmarks and leave the output in bench_new.txt for
 # benchgate. -count=$(BENCHCOUNT): benchgate takes the best run per
-# benchmark, discarding scheduler noise. Also refreshes the
-# BENCH_<date>.json perf-trajectory artifact in the repo root, so the
-# local tree carries the same history CI uploads.
+# benchmark, discarding scheduler noise. Also runs the repository
+# benchmark (perfbench) briefly on each of its workloads and keeps each
+# run's output — provenance, tables and the final JSON line — in
+# bench-out/, the same perf-trajectory files CI uploads.
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCHFILTER)' -benchmem -count=$(BENCHCOUNT) . | tee bench_new.txt
-	$(GO) run ./cmd/tetrisbench -bench-json -writes 200
+	mkdir -p bench-out
+	for w in paper-sweep write-heavy cached-read; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 > bench-out/perfbench-$$w.txt || exit 1; \
+		tail -n 1 bench-out/perfbench-$$w.txt; \
+	done
 
 # Print the gated benchmark regexp, so CI benchmarks exactly this set.
 benchfilter:

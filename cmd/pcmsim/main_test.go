@@ -231,6 +231,50 @@ func TestRunTraceLineSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestRunTraceAddressOutsideDevice: a trace addressing a line past the
+// device, or inside the fault model's spare region, is refused before
+// the run with the capacity message instead of panicking mid-run.
+func TestRunTraceAddressOutsideDevice(t *testing.T) {
+	lines := pcm.DefaultParams().Lines()
+	for _, tc := range []struct {
+		name  string
+		addr  pcm.LineAddr
+		extra []string
+	}{
+		{"past-device", pcm.LineAddr(lines), nil},
+		{"spare-region", pcm.LineAddr(lines - 1), []string{"-transient-rate", "0.01"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.trace")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := trace.NewWriter(f, 1, pcm.DefaultParams().LineBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(trace.Record{Op: workload.Op{Think: 10, Addr: tc.addr}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var out, errb bytes.Buffer
+			err = run(context.Background(), append([]string{"-trace", path, "-instr", "20000"}, tc.extra...), &out, &errb)
+			if err == nil {
+				t.Fatal("out-of-range trace address accepted")
+			}
+			if !strings.Contains(err.Error(), "device offers") || strings.Contains(err.Error(), "panic") {
+				t.Errorf("want the capacity message, got: %v", err)
+			}
+		})
+	}
+}
+
 // Flip-tag schemes keep one 64-bit tag word per line, so -line 256 (128
 // chip x data-unit pairs) is refused up front for them, while schemes
 // without tags run there under the deep checks.

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,61 +147,6 @@ func TestRunEpochSummary(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-fig", "11", "-epoch", "bogus"}, &out, &errb); err == nil {
 		t.Error("bad -epoch value accepted")
-	}
-}
-
-func TestRunBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	var out, errb bytes.Buffer
-	err := run(context.Background(), []string{"-bench-json", "-bench-dir", dir, "-writes", "200"}, &out, &errb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || !strings.HasPrefix(entries[0].Name(), "BENCH_") ||
-		!strings.HasSuffix(entries[0].Name(), ".json") {
-		t.Fatalf("unexpected artifact listing: %v", entries)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art struct {
-		Date    string `json:"date"`
-		Writes  int    `json:"writes"`
-		Schemes []struct {
-			Scheme     string  `json:"scheme"`
-			WriteUnits float64 `json:"write_units_per_write"`
-			NsPerOp    float64 `json:"ns_per_op"`
-			VerifyNs   float64 `json:"verify_overhead_ns_per_write"`
-		} `json:"schemes"`
-		FullSystemNs float64 `json:"full_system_ns_per_op"`
-		AllocsPerOp  float64 `json:"allocs_per_op"`
-	}
-	if err := json.Unmarshal(raw, &art); err != nil {
-		t.Fatalf("artifact not valid JSON: %v\n%s", err, raw)
-	}
-	if art.Writes != 200 || len(art.Schemes) != 5 {
-		t.Errorf("artifact shape wrong: writes=%d schemes=%d", art.Writes, len(art.Schemes))
-	}
-	for _, s := range art.Schemes {
-		if s.WriteUnits <= 0 || s.NsPerOp <= 0 || s.VerifyNs <= 0 {
-			t.Errorf("scheme %s has non-positive measurements: %+v", s.Scheme, s)
-		}
-	}
-	// The deterministic axis: baseline plans 8 units, tetris well under 2.
-	if u := art.Schemes[0].WriteUnits; u < 7.9 || u > 8.1 {
-		t.Errorf("baseline write units = %v, want 8", u)
-	}
-	if u := art.Schemes[4].WriteUnits; u <= 0 || u >= 2 {
-		t.Errorf("tetris write units = %v, want in (0, 2)", u)
-	}
-	if art.FullSystemNs <= 0 || art.AllocsPerOp <= 0 {
-		t.Errorf("full-system trajectory point missing: %v ns/op, %v allocs/op",
-			art.FullSystemNs, art.AllocsPerOp)
 	}
 }
 

@@ -3,10 +3,12 @@ package system
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"tetriswrite/internal/fault"
 	"tetriswrite/internal/guard"
+	"tetriswrite/internal/pcm"
 	"tetriswrite/internal/schemes"
 	"tetriswrite/internal/tetris"
 	"tetriswrite/internal/trace"
@@ -126,5 +128,72 @@ func TestRunRejectsFlipTagsOnWideLines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Trace records the platform cannot replay are rejected by one scan
+// before the engine starts, with a typed or named error rather than a
+// *PanicError part-way through the run: an address below zero, past the
+// device or inside the fault model's spare region, a write payload that
+// is not one line, and a core the run does not have.
+func TestRunTraceRejectsBadRecords(t *testing.T) {
+	par := smallConfig().Params
+	lines := par.Lines()
+	line := make([]byte, par.LineBytes)
+	read := func(core int, addr int64) trace.Record {
+		return trace.Record{Core: core, Op: workload.Op{Think: 10, Addr: pcm.LineAddr(addr)}}
+	}
+	write := func(addr int64, data []byte) trace.Record {
+		return trace.Record{Op: workload.Op{Think: 10, Write: true, Addr: pcm.LineAddr(addr), Data: data}}
+	}
+	faults := fault.Config{TransientRate: 0.01}
+	for _, tc := range []struct {
+		name     string
+		rec      trace.Record
+		fault    fault.Config
+		capacity bool   // want a *CapacityError in the chain
+		text     string // want this in the message
+	}{
+		{"negative-address", read(0, -1), fault.Config{}, true, "line address -1"},
+		{"past-device", read(0, lines), fault.Config{}, true, fmt.Sprintf("line address %d", lines)},
+		{"spare-region", read(0, lines-1), faults, true, fmt.Sprintf("device offers %d", lines-64)},
+		{"short-write", write(5, line[:32]), fault.Config{}, false, "record 2: write of 32 bytes, line is 64"},
+		{"long-write", write(5, append(line, 0)), fault.Config{}, false, "write of 65 bytes"},
+		{"missing-core", read(2, 5), fault.Config{}, false, "record 2: core 2 out of range"},
+		{"negative-core", read(-1, 5), fault.Config{}, false, "core -1 out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.InstrBudget = 20_000
+			cfg.Fault = tc.fault
+			recs := []trace.Record{read(0, 3), tc.rec, read(1, 4)}
+			_, err := RunTrace("bad", recs, 2, tetris.New, cfg)
+			var ce *CapacityError
+			var pe *PanicError
+			switch {
+			case err == nil:
+				t.Fatal("bad record accepted")
+			case errors.As(err, &pe):
+				t.Fatalf("bad record panicked mid-run: %v", err)
+			case tc.capacity != errors.As(err, &ce):
+				t.Errorf("CapacityError in chain = %v, want %v: %v", !tc.capacity, tc.capacity, err)
+			case !strings.Contains(err.Error(), tc.text):
+				t.Errorf("error %q does not contain %q", err, tc.text)
+			}
+		})
+	}
+
+	// The last usable line is accepted, with and without sparing.
+	for _, f := range []fault.Config{{}, faults} {
+		cfg := smallConfig()
+		cfg.InstrBudget = 20_000
+		cfg.Fault = f
+		top := lines - 1
+		if f.Enabled() {
+			top -= 64
+		}
+		if _, err := RunTrace("edge", []trace.Record{read(0, top), write(top, line)}, 1, tetris.New, cfg); err != nil {
+			t.Errorf("fault %+v: last usable line %d rejected: %v", f, top, err)
+		}
 	}
 }

@@ -6,6 +6,10 @@
 // write latency, per-write write units, IPC, and application running
 // time.
 //
+// A generated run (Run) and a trace replay (RunTrace) build the same
+// platform in one place, assemble; they differ only in where each core's
+// operations come from.
+//
 // Runs are hardened: RunCtx and RunTraceCtx accept a context and a
 // watchdog budget (MaxEvents, MaxSimTime) so a livelocked scheduler
 // terminates diagnosably instead of hanging the caller; panics escaping
@@ -60,9 +64,11 @@ type Config struct {
 	// WearLevelPsi, when positive, wraps the workload's resident working
 	// set (the private and shared regions) in a Start-Gap wear-leveling
 	// region with a gap move every psi writes, and tracks per-line wear.
+	// A trace replay has no resident region and rejects it.
 	WearLevelPsi int
 	// TrackWear attaches per-line wear accounting even without wear
-	// leveling, so endurance experiments can compare the two.
+	// leveling, so endurance experiments can compare the two; it works
+	// for generated runs and trace replays alike.
 	TrackWear bool
 
 	// Fault configures the deterministic cell-failure model (wear-out
@@ -196,7 +202,9 @@ func (e *RunError) Unwrap() error { return e.Err }
 // the workload's address space: the static private and shared regions
 // plus one fresh-allocation line per core (Need) must fit in the lines
 // the device offers the workload (Have: capacity minus the fault model's
-// spare region).
+// spare region). For a trace replay, Need spans line 0 through the first
+// out-of-range address (from that address up to Have when it is
+// negative).
 type CapacityError struct {
 	Workload   string
 	LineBytes  int
@@ -263,9 +271,12 @@ func newGuard(eng *sim.Engine, ctrl *memctrl.Controller, cfg Config, fp guard.Fi
 	return g
 }
 
-// parts collects the layers a finished (or aborted) run reports from.
-type parts struct {
+// platform holds every layer one run assembled; members the config did
+// not ask for stay nil. collectResult reports from it and
+// attachTelemetry instruments it.
+type platform struct {
 	eng     *sim.Engine
+	dev     *pcm.Device
 	ctrl    *memctrl.Controller
 	cores   []*cpu.Core
 	hier    *cache.Hierarchy
@@ -273,14 +284,15 @@ type parts struct {
 	remap   *wearlevel.Remapper
 	inj     *fault.Injector
 	spare   *fault.SpareRemapper
-	sampler *telemetry.Sampler
+	crash   *crash.Injector
 	guard   *guard.Guard
+	sampler *telemetry.Sampler
 }
 
 // collectResult builds the Result from whatever state the platform holds
 // — valid both after a clean drain and after an abort, where it yields
 // the partial statistics.
-func collectResult(workload, scheme string, cfg Config, lastFinish units.Time, p parts) Result {
+func collectResult(workload, scheme string, cfg Config, lastFinish units.Time, p *platform) Result {
 	st := p.ctrl.Stats()
 	res := Result{
 		Workload:     workload,
@@ -379,7 +391,71 @@ func Run(prof workload.Profile, factory schemes.Factory, cfg Config) (Result, er
 // violation. On early termination the returned error identifies the
 // cause (with the run fingerprint) and the Result still carries the
 // partial statistics and finalized telemetry gathered up to that point.
-func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory, cfg Config) (res Result, err error) {
+func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory, cfg Config) (Result, error) {
+	return assemble(ctx, frontEnd{name: prof.Name, label: prof.Name, prof: &prof}, factory, cfg)
+}
+
+// RunTrace replays a pre-recorded memory trace through the platform
+// instead of generating operations on the fly: same controller, banks and
+// cores, but each core's stream comes from the trace's records. The
+// workload name is only a label; data contents come from the trace
+// payloads (the device starts zeroed, as traces carry absolute line
+// images). The records are checked before the run starts (see
+// checkTrace), and WearLevelPsi is rejected: a trace has no resident
+// region for Start-Gap to rotate.
+func RunTrace(label string, recs []trace.Record, cores int, factory schemes.Factory, cfg Config) (Result, error) {
+	return RunTraceCtx(context.Background(), label, recs, cores, factory, cfg)
+}
+
+// RunTraceCtx is RunTrace under a context, with the same early-
+// termination and partial-result semantics as RunCtx.
+func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores int, factory schemes.Factory, cfg Config) (Result, error) {
+	cfg.Cores = cores
+	return assemble(ctx, frontEnd{name: label, label: label + " (trace)", recs: recs}, factory, cfg)
+}
+
+// frontEnd is what a generated run and a trace replay do differently:
+// where each core's operations come from. A generated run draws them
+// from prof's Program, which also drives the preload port, the Start-Gap
+// region and the device's size hint; a trace replay (prof nil) reads
+// them from recs.
+type frontEnd struct {
+	name  string // the workload in the run fingerprint
+	label string // Result.Workload
+	prof  *workload.Profile
+	recs  []trace.Record
+}
+
+// checkTrace scans the records once before the run and rejects what the
+// platform cannot replay: a core outside the run's cores, a line address
+// outside the usable lines (a *CapacityError), or a write payload that is
+// not one line. Records are numbered from 1, as trace.Reader does.
+func checkTrace(label string, recs []trace.Record, cores int, usable pcm.Params) error {
+	have := usable.Lines()
+	for i, r := range recs {
+		switch addr := int64(r.Op.Addr); {
+		case r.Core < 0 || r.Core >= cores:
+			return fmt.Errorf("system: trace record %d: core %d out of range (run has %d cores)", i+1, r.Core, cores)
+		case addr < 0 || addr >= have:
+			need := addr + 1
+			if addr < 0 {
+				need = have - addr
+			}
+			return fmt.Errorf("system: trace record %d: line address %d: %w", i+1, addr,
+				&CapacityError{Workload: label, LineBytes: usable.LineBytes, Need: need, Have: have})
+		case r.Op.Write && len(r.Op.Data) != usable.LineBytes:
+			return fmt.Errorf("system: trace record %d: write of %d bytes, line is %d", i+1, len(r.Op.Data), usable.LineBytes)
+		}
+	}
+	return nil
+}
+
+// assemble builds the platform for one run — device, fault model,
+// controller, crash hook, guard, sparing, wear tracking, Start-Gap,
+// preload, caches and cores, in that order — then runs it and collects
+// the Result. Every configuration error is returned before the engine
+// starts.
+func assemble(ctx context.Context, fe frontEnd, factory schemes.Factory, cfg Config) (res Result, err error) {
 	cfg.Normalize()
 	if verr := cfg.Params.Validate(); verr != nil {
 		return Result{}, fmt.Errorf("system: %w", verr)
@@ -388,8 +464,14 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 	if err := schemes.CheckFlipTags(sch, cfg.Params); err != nil {
 		return Result{}, fmt.Errorf("system: %w", err)
 	}
-	// The workload lays its address space out within the device, below
-	// the spare region the fault model reserves at the top.
+	if cfg.Ctrl.IdlePreset && !cfg.UseCaches {
+		return Result{}, fmt.Errorf("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
+	}
+	if cfg.WearLevelPsi > 0 && fe.prof == nil {
+		return Result{}, fmt.Errorf("system: WearLevelPsi requires a generated workload (a trace has no resident region to rotate)")
+	}
+	// The workload's addresses lie within the device, below the spare
+	// region the fault model reserves at the top.
 	spares := 0
 	if cfg.Fault.Enabled() {
 		spares = cfg.SpareLines
@@ -397,83 +479,83 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 			spares = 64
 		}
 	}
-	progPar := cfg.Params
-	progPar.CapacityBytes -= int64(spares) * int64(progPar.LineBytes)
-	prog := workload.NewProgram(prof, cfg.Cores, cfg.Seed, progPar)
-	if have := progPar.Lines(); !prog.Fits(have) {
-		return Result{}, &CapacityError{Workload: prof.Name, LineBytes: progPar.LineBytes,
-			Need: prog.AddressFootprint() + int64(cfg.Cores), Have: have}
+	usable := cfg.Params
+	usable.CapacityBytes -= int64(spares) * int64(usable.LineBytes)
+	var prog *workload.Program
+	if fe.prof != nil {
+		prog = workload.NewProgram(*fe.prof, cfg.Cores, cfg.Seed, usable)
+		if have := usable.Lines(); !prog.Fits(have) {
+			return Result{}, &CapacityError{Workload: fe.name, LineBytes: usable.LineBytes,
+				Need: prog.AddressFootprint() + int64(cfg.Cores), Have: have}
+		}
+	} else if err := checkTrace(fe.name, fe.recs, cfg.Cores, usable); err != nil {
+		return Result{}, err
 	}
 	eng := &sim.Engine{}
-	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: prof.Name, Scheme: sch.Name()}
+	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: fe.name, Scheme: sch.Name()}
 	defer recoverRun(&err, eng, fp)
 
 	dev, err := pcm.NewDevice(cfg.Params)
 	if err != nil {
 		return Result{}, err
 	}
+	p := &platform{eng: eng, dev: dev}
 
 	// Optional deterministic fault model: the injector fails pulses at
 	// the device, the controller verifies and retries, and hard errors
 	// drain into a spare region at the top of the device.
-	var inj *fault.Injector
 	if cfg.Fault.Enabled() {
-		if inj, err = fault.New(cfg.Fault); err != nil {
+		if p.inj, err = fault.New(cfg.Fault); err != nil {
 			return Result{}, err
 		}
-		dev.AttachFaults(inj)
+		dev.AttachFaults(p.inj)
 		cfg.Ctrl.VerifyWrites = true
 	}
 
 	ctrl := memctrl.New(eng, dev, factory, cfg.Ctrl)
+	p.ctrl = ctrl
 	ctrl.SetFingerprint(fp)
-	cinj, err := attachCrash(eng, dev, ctrl, cfg, inj != nil)
-	if err != nil {
+	if p.crash, err = attachCrash(eng, dev, ctrl, cfg, p.inj != nil); err != nil {
 		return Result{}, err
 	}
-	g := newGuard(eng, ctrl, cfg, fp)
-	// Pre-size the cell store to the lines the run can plausibly touch —
-	// the workload's address footprint, capped by its expected memory
-	// access count — so the first-touch preload path skips the store's
-	// doubling-and-rehash ladder without zeroing capacity a short run
-	// never fills.
-	accesses := int64(float64(cfg.InstrBudget) * float64(cfg.Cores) * (prof.RPKI + prof.WPKI) / 1000)
-	if hint := prog.AddressFootprint(); hint > 0 {
-		if accesses < hint {
-			hint = accesses
+	p.guard = newGuard(eng, ctrl, cfg, fp)
+	if prog != nil {
+		// Pre-size the cell store to the lines the run can plausibly
+		// touch — the workload's address footprint, capped by its
+		// expected memory access count — so the first-touch preload path
+		// skips the store's doubling-and-rehash ladder without zeroing
+		// capacity a short run never fills.
+		accesses := int64(float64(cfg.InstrBudget) * float64(cfg.Cores) * (fe.prof.RPKI + fe.prof.WPKI) / 1000)
+		if hint := prog.AddressFootprint(); hint > 0 {
+			dev.ReserveLines(min(hint, accesses))
 		}
-		dev.ReserveLines(hint)
 	}
 
-	var spare *fault.SpareRemapper
 	var memBase wearlevel.Mem = ctrl
 	snoop := ctrl.Snoop
-	if inj != nil {
-		base := pcm.LineAddr(cfg.Params.Lines() - int64(spares))
-		spare, err = fault.NewSpareRemapper(ctrl, base, spares, ctrl.Snoop)
+	if p.inj != nil {
+		p.spare, err = fault.NewSpareRemapper(ctrl, pcm.LineAddr(usable.Lines()), spares, ctrl.Snoop)
 		if err != nil {
 			return Result{}, err
 		}
-		ctrl.SetHardErrorHandler(spare.OnHardError)
-		memBase = spare
-		snoop = spare.Snoop
+		ctrl.SetHardErrorHandler(p.spare.OnHardError)
+		memBase = p.spare
+		snoop = p.spare.Snoop
 	}
 
-	var wear *pcm.WearTracker
 	if cfg.TrackWear || cfg.WearLevelPsi > 0 {
 		// Wear is recorded at the controller, keyed by physical line and
 		// counting the scheme's actual pulses (redundant pulses wear
 		// cells too, which is how non-comparing schemes hurt endurance).
-		wear = pcm.NewWearTracker()
-		ctrl.SetWearTracker(wear)
+		p.wear = pcm.NewWearTracker()
+		ctrl.SetWearTracker(p.wear)
 	}
 
 	// Optional Start-Gap wear leveling over the resident working set.
 	// Ordering: Start-Gap translates logical lines to rotating physical
 	// slots, and the sparing layer below redirects physical slots that
 	// died — the gap rotation never sees hard errors.
-	var down cpu.MemPort = memBase
-	var remap *wearlevel.Remapper
+	var port cpu.MemPort = memBase
 	var translate func(pcm.LineAddr) pcm.LineAddr
 	if cfg.WearLevelPsi > 0 {
 		np := prog.Profile()
@@ -482,44 +564,56 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 		if rerr != nil {
 			return Result{}, rerr
 		}
-		remap = wearlevel.NewRemapper(memBase, region, cfg.Params.LineBytes, snoop)
-		down = remap
+		p.remap = wearlevel.NewRemapper(memBase, region, cfg.Params.LineBytes, snoop)
+		port = p.remap
 		translate = region.Translate
 	}
 
-	preload := &preloadPort{down: down, dev: dev, prog: prog,
-		seen: linestore.NewSet(), translate: translate}
+	// A generated run installs each line's initial contents before its
+	// first access; a trace carries absolute line images over a zeroed
+	// device and needs no preload.
+	var preload *preloadPort
+	if prog != nil {
+		preload = &preloadPort{down: port, dev: dev, prog: prog,
+			seen: linestore.NewSet(), translate: translate}
+		port = preload
+	}
 
-	var port cpu.MemPort = preload
-	var hier *cache.Hierarchy
 	if cfg.UseCaches {
 		levels := cfg.CacheLevels
 		if levels == nil {
 			levels = cache.DefaultLevels(cfg.CPUClock)
 		}
-		hier, err = cache.New(eng, preload, levels)
-		if err != nil {
+		if p.hier, err = cache.New(eng, port, levels); err != nil {
 			return Result{}, err
 		}
-		port = hier
+		port = p.hier
 		if cfg.Ctrl.IdlePreset {
 			// PreSET: dirty-transition hints flow from the LLC to the
 			// controller, which checks dirtiness again before acting.
-			ctrl.SetDirtyChecker(hier.IsDirty)
-			hier.OnDirty = func(addr pcm.LineAddr) {
-				preload.ensure(addr)
-				ctrl.PresetHint(addr)
+			ctrl.SetDirtyChecker(p.hier.IsDirty)
+			if preload != nil {
+				p.hier.OnDirty = func(addr pcm.LineAddr) {
+					preload.ensure(addr)
+					ctrl.PresetHint(addr)
+				}
+			} else {
+				p.hier.OnDirty = ctrl.PresetHint
 			}
 		}
-	} else if cfg.Ctrl.IdlePreset {
-		return Result{}, fmt.Errorf("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
 	}
 
-	cores := make([]*cpu.Core, cfg.Cores)
+	p.cores = make([]*cpu.Core, cfg.Cores)
 	remaining := cfg.Cores
 	var lastFinish units.Time
-	for i := range cores {
-		cores[i] = cpu.New(eng, cfg.CPUClock, prog.Generator(i), port, cfg.InstrBudget, func() {
+	for i := range p.cores {
+		var src cpu.OpSource
+		if prog != nil {
+			src = prog.Generator(i)
+		} else {
+			src = trace.NewCoreSource(fe.recs, i)
+		}
+		p.cores[i] = cpu.New(eng, cfg.CPUClock, src, port, cfg.InstrBudget, func() {
 			remaining--
 			if t := eng.Now(); t > lastFinish {
 				lastFinish = t
@@ -529,145 +623,13 @@ func RunCtx(ctx context.Context, prof workload.Profile, factory schemes.Factory,
 				ctrl.WhenIdle(func() {})
 			}
 		})
-		cores[i].Start()
+		p.cores[i].Start()
 	}
-	var sampler *telemetry.Sampler
 	if cfg.Epoch > 0 {
-		sampler = attachTelemetry(eng, cfg, telemetryParts{
-			ctrl: ctrl, dev: dev, hier: hier, remap: remap,
-			inj: inj, spare: spare, cores: cores, clock: cfg.CPUClock,
-			crash: cinj,
-		})
+		p.sampler = attachTelemetry(cfg, p)
 	}
-	runErr := runEngine(ctx, eng, cfg, fp, sampler)
-	res = collectResult(prof.Name, fp.Scheme, cfg, lastFinish, parts{
-		eng: eng, ctrl: ctrl, cores: cores, hier: hier, wear: wear,
-		remap: remap, inj: inj, spare: spare, sampler: sampler, guard: g,
-	})
-	if runErr != nil {
-		return res, runErr
-	}
-	if remaining != 0 {
-		return res, fmt.Errorf("system: %d cores never finished (deadlock?)", remaining)
-	}
-	return res, nil
-}
-
-// RunTrace replays a pre-recorded memory trace through the platform
-// instead of generating operations on the fly: same controller, banks and
-// cores, but each core's stream comes from the trace's records. The
-// workload name is only a label; data contents come from the trace
-// payloads (the device starts zeroed, as traces carry absolute line
-// images).
-func RunTrace(label string, recs []trace.Record, cores int, factory schemes.Factory, cfg Config) (Result, error) {
-	return RunTraceCtx(context.Background(), label, recs, cores, factory, cfg)
-}
-
-// RunTraceCtx is RunTrace under a context, with the same early-
-// termination and partial-result semantics as RunCtx.
-func RunTraceCtx(ctx context.Context, label string, recs []trace.Record, cores int, factory schemes.Factory, cfg Config) (res Result, err error) {
-	cfg.Cores = cores
-	cfg.Normalize()
-	if verr := cfg.Params.Validate(); verr != nil {
-		return Result{}, fmt.Errorf("system: %w", verr)
-	}
-	sch := factory(cfg.Params)
-	if err := schemes.CheckFlipTags(sch, cfg.Params); err != nil {
-		return Result{}, fmt.Errorf("system: %w", err)
-	}
-	eng := &sim.Engine{}
-	fp := guard.Fingerprint{Seed: cfg.Seed, Workload: label, Scheme: sch.Name()}
-	defer recoverRun(&err, eng, fp)
-
-	dev, err := pcm.NewDevice(cfg.Params)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var inj *fault.Injector
-	if cfg.Fault.Enabled() {
-		if inj, err = fault.New(cfg.Fault); err != nil {
-			return Result{}, err
-		}
-		dev.AttachFaults(inj)
-		cfg.Ctrl.VerifyWrites = true
-	}
-
-	ctrl := memctrl.New(eng, dev, factory, cfg.Ctrl)
-	ctrl.SetFingerprint(fp)
-	cinj, err := attachCrash(eng, dev, ctrl, cfg, inj != nil)
-	if err != nil {
-		return Result{}, err
-	}
-	g := newGuard(eng, ctrl, cfg, fp)
-
-	var spare *fault.SpareRemapper
-	var port cpu.MemPort = ctrl
-	if inj != nil {
-		spares := cfg.SpareLines
-		if spares <= 0 {
-			spares = 64
-		}
-		base := pcm.LineAddr(cfg.Params.Lines() - int64(spares))
-		spare, err = fault.NewSpareRemapper(ctrl, base, spares, ctrl.Snoop)
-		if err != nil {
-			return Result{}, err
-		}
-		ctrl.SetHardErrorHandler(spare.OnHardError)
-		port = spare
-	}
-
-	// Optional cache hierarchy, same placement as in Run. Traces carry
-	// absolute line images over a zeroed device, so no preload layer is
-	// needed; PreSET hints flow straight from the LLC to the controller.
-	var hier *cache.Hierarchy
-	if cfg.UseCaches {
-		levels := cfg.CacheLevels
-		if levels == nil {
-			levels = cache.DefaultLevels(cfg.CPUClock)
-		}
-		hier, err = cache.New(eng, port, levels)
-		if err != nil {
-			return Result{}, err
-		}
-		if cfg.Ctrl.IdlePreset {
-			ctrl.SetDirtyChecker(hier.IsDirty)
-			hier.OnDirty = ctrl.PresetHint
-		}
-		port = hier
-	} else if cfg.Ctrl.IdlePreset {
-		return Result{}, fmt.Errorf("system: IdlePreset requires UseCaches (hints come from LLC dirtiness)")
-	}
-
-	cpuCores := make([]*cpu.Core, cfg.Cores)
-	remaining := cfg.Cores
-	var lastFinish units.Time
-	for i := range cpuCores {
-		src := trace.NewCoreSource(recs, i)
-		cpuCores[i] = cpu.New(eng, cfg.CPUClock, src, port, cfg.InstrBudget, func() {
-			remaining--
-			if t := eng.Now(); t > lastFinish {
-				lastFinish = t
-			}
-			if remaining == 0 {
-				ctrl.WhenIdle(func() {})
-			}
-		})
-		cpuCores[i].Start()
-	}
-	var sampler *telemetry.Sampler
-	if cfg.Epoch > 0 {
-		sampler = attachTelemetry(eng, cfg, telemetryParts{
-			ctrl: ctrl, dev: dev, hier: hier,
-			inj: inj, spare: spare, cores: cpuCores, clock: cfg.CPUClock,
-			crash: cinj,
-		})
-	}
-	runErr := runEngine(ctx, eng, cfg, fp, sampler)
-	res = collectResult(label+" (trace)", fp.Scheme, cfg, lastFinish, parts{
-		eng: eng, ctrl: ctrl, cores: cpuCores, hier: hier,
-		inj: inj, spare: spare, sampler: sampler, guard: g,
-	})
+	runErr := runEngine(ctx, eng, cfg, fp, p.sampler)
+	res = collectResult(fe.label, fp.Scheme, cfg, lastFinish, p)
 	if runErr != nil {
 		return res, runErr
 	}

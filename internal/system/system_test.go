@@ -1,6 +1,8 @@
 package system
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"tetriswrite/internal/cache"
@@ -266,5 +268,43 @@ func TestRunTrace(t *testing.T) {
 	}
 	if res.RunningTime != res2.RunningTime || res.ReadLatency != res2.ReadLatency {
 		t.Error("trace replay nondeterministic")
+	}
+}
+
+// Trace replays share the generated path's wear options: TrackWear fills
+// Result.Wear without moving any other number, and WearLevelPsi is
+// rejected before the run, since a trace has no resident region for
+// Start-Gap to rotate.
+func TestRunTraceWearOptions(t *testing.T) {
+	prof, _ := workload.ProfileByName("vips")
+	recs := trace.Generate(prof, 2, 3, pcm.DefaultParams(), 2000)
+	cfg := Config{InstrBudget: 100_000}
+	base, err := RunTrace("vips", recs, 2, tetris.New, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Wear != nil {
+		t.Error("wear reported without TrackWear")
+	}
+	cfg.TrackWear = true
+	worn, err := RunTrace("vips", recs, 2, tetris.New, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worn.Wear == nil || worn.Wear.TotalBitWrites == 0 || worn.Wear.TouchedLines == 0 {
+		t.Fatalf("TrackWear on a trace replay reported no wear: %+v", worn.Wear)
+	}
+	worn.Wear = nil
+	if !reflect.DeepEqual(base, worn) {
+		t.Errorf("TrackWear perturbed the replay:\nbase %+v\nworn %+v", base, worn)
+	}
+
+	cfg.WearLevelPsi = 20
+	res, err := RunTrace("vips", recs, 2, tetris.New, cfg)
+	if err == nil || !strings.Contains(err.Error(), "WearLevelPsi") {
+		t.Fatalf("WearLevelPsi on a trace replay: err = %v, want a rejection naming it", err)
+	}
+	if res.Ctrl.Reads != 0 || res.Cores != nil {
+		t.Errorf("rejected replay ran: %+v", res)
 	}
 }
